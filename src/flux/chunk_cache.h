@@ -28,10 +28,10 @@
 
 namespace flux {
 
-// Raw bytes covered by one cache entry. Pairing-time seeding and the
-// migration engine must agree on this granularity or seeded entries can
-// never match an image chunk (MigrationConfig::pipeline_chunk_bytes
-// defaults to the same value).
+// Raw bytes covered by one cache entry, and the one chunk size of the
+// migration chunk stream and the fleet coordinator's chunk model:
+// pairing-time seeding and the migration engine must agree on it or seeded
+// entries can never match an image chunk.
 inline constexpr uint64_t kChunkCacheChunkBytes = 256 * 1024;
 
 class ChunkCache {

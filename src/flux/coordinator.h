@@ -92,22 +92,8 @@ struct CoordinatorConfig {
   // Global admission slots for migrations / pairings.
   int max_concurrent_migrations = 32;
   int max_concurrent_pairings = 16;
-  // Modeled chunk granularity; matches the dedup path's default.
-  uint64_t chunk_bytes = kChunkCacheChunkBytes;
-  // Modeled single-core stage throughputs (MB/s at cpu_factor 1.0) and
-  // fixed costs — the MigrationConfig numbers.
-  double serialize_mbps = 120.0;
-  double compress_mbps = 25.0;
-  double decompress_mbps = 25.0;
-  double restore_mbps = 35.0;
-  SimDuration prepare_fixed = Millis(140);
-  SimDuration reintegrate_fixed = Millis(160);
-  // Pairing framework sync: compressed wire bytes per pairing (the paper's
-  // ~56 MB at scale 1.0) and the scale knob.
-  uint64_t pairing_wire_bytes = 56 * 1024 * 1024;
-  double pairing_scale = 0.02;
-  // Cadence of dirty-write bursts while a migration's pre-cut window runs.
-  SimDuration dirty_burst_period = Millis(500);
+  // Chunk granularity is kChunkCacheChunkBytes and stage costs come from
+  // the shared model in pipeline.h (with the MB unit noted there).
   // Observability: fleet.* counters, fleet.queue_wait_us / fleet.concurrency
   // histograms, coordinator/* spans. Null = no tracing.
   Tracer* trace = nullptr;

@@ -17,25 +17,110 @@ namespace flux {
 namespace {
 
 constexpr uint32_t kPayloadMagic = 0x464C5558;  // "FLUX"
+// Device cores the chunk stream's compress stage fans out over (and the
+// width of the shared host compression pool).
+constexpr int kCompressCores = 4;
+// A pre-copy round must shrink the pending set to at most this fraction of
+// the previous round's, or pre-copy declares non-convergence.
+constexpr double kPrecopyMinRoundShrink = 0.85;
+// Resume handshakes a migration may run before it gives up (forensics,
+// then rollback).
+constexpr int kResumeMaxAttempts = 8;
 
-// Modeled wire bytes of the dedup manifest handshake (PROTOCOL.md §7): the
-// home side sends a 32-byte header — 16 bytes of framing fields plus the
+// Wire bytes of the chunk-manifest handshake: the dedup manifest exchange
+// (PROTOCOL.md §7) and the resume offer/ack (§8) share one shape. The home
+// side sends a 32-byte header — 16 bytes of framing fields plus the
 // 16-byte trace-context field added in manifest v2 (§7.1) — plus one
-// 16-byte hash per chunk; the guest answers with a header plus a
-// one-bit-per-chunk availability bitmap. The context travels whether or
-// not tracing is compiled in: it is protocol data, and charging it
-// unconditionally is what keeps the three telemetry configs byte-identical.
-uint64_t ManifestWireBytes(uint64_t chunk_count) {
-  return 32 + 16 * chunk_count + 8 + (chunk_count + 7) / 8;
+// 16-byte hash per chunk; the guest answers with an 8-byte header plus a
+// one-bit-per-chunk availability bitmap. Framed, each direction is one
+// control frame. The context travels whether or not tracing is compiled
+// in: it is protocol data, and charging it unconditionally is what keeps
+// the three telemetry configs byte-identical.
+struct HandshakeBytes {
+  uint64_t out = 0;   // manifest / resume offer
+  uint64_t back = 0;  // availability bitmap / resume ack
+  uint64_t total() const { return out + back; }
+};
+
+HandshakeBytes ManifestHandshake(uint64_t chunk_count, bool framed) {
+  const uint64_t header = framed ? kFrameHeaderSize : 0;
+  return {header + 32 + 16 * chunk_count, header + 8 + (chunk_count + 7) / 8};
 }
 
-// CPU time to push `bytes` through a `mbps` pipeline on `device`.
+// CPU time to push `bytes` through a `mbps` pipeline on `device` (MB read
+// as MiB; see the stage-cost model in pipeline.h).
 SimDuration CpuCost(const Device& device, uint64_t bytes, double mbps) {
   const double factor =
       device.profile().cpu_factor > 0 ? device.profile().cpu_factor : 1.0;
   const double seconds =
       static_cast<double>(bytes) / (mbps * 1024.0 * 1024.0) / factor;
   return FromSecondsF(seconds);
+}
+
+// One chunk's work in the per-chunk stage-cost model.
+struct ChunkWork {
+  uint64_t raw = 0;   // raw image bytes
+  uint64_t wire = 0;  // bytes on the air (framed under a profile)
+  LzChunkKind kind = LzChunkKind::kLz;
+  bool on_wire = true;     // false: post-copy defers it off the foreground
+  bool prewarmed = false;  // serialized and applied during pre-copy rounds
+};
+
+// Per-chunk serialize → compress → wire → decompress (→ restore) costs,
+// shared by the pre-copy rounds (no restore stage: the guest only caches)
+// and the chunk-stream transfer. The compress stage fans out over the
+// device's cores; a ref chunk never runs the codec (the home side ships its
+// hash, the guest copies verified cache content), and a stored chunk paid
+// the compress attempt that found it incompressible but decodes with a
+// plain copy. The stream handshake latency is charged once, on chunk 0.
+std::vector<PipelineStageModel> ChunkStageCosts(
+    const std::vector<ChunkWork>& chunks, const Device& home,
+    const Device& guest, const WifiNetwork& wifi, const EffectiveLink& link,
+    bool restore_stage) {
+  std::vector<PipelineStageModel> stages(restore_stage ? 5 : 4);
+  const char* names[] = {"serialize", "compress", "wire", "decompress",
+                         "restore"};
+  for (size_t s = 0; s < stages.size(); ++s) {
+    stages[s].name = names[s];
+    stages[s].chunk_cost.reserve(chunks.size());
+  }
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    const ChunkWork& c = chunks[i];
+    stages[0].chunk_cost.push_back(
+        c.prewarmed ? 0 : CpuCost(home, c.raw, kSerializeMbps));
+    stages[1].chunk_cost.push_back(
+        c.kind != LzChunkKind::kRef
+            ? CpuCost(home, c.raw, kCompressMbps) / kCompressCores
+            : 0);
+    SimDuration wire_cost =
+        c.on_wire ? wifi.TransferTime(c.wire, link) - link.latency : 0;
+    if (i == 0) {
+      wire_cost += link.latency;
+    }
+    stages[2].chunk_cost.push_back(wire_cost);
+    stages[3].chunk_cost.push_back(
+        c.kind == LzChunkKind::kLz ? CpuCost(guest, c.raw, kDecompressMbps)
+                                   : 0);
+    if (restore_stage) {
+      stages[4].chunk_cost.push_back(
+          c.prewarmed ? 0 : CpuCost(guest, c.raw, kRestoreMbps));
+    }
+  }
+  return stages;
+}
+
+// Seed for per-app deterministic draws: the package name hashed with a
+// per-use salt.
+uint64_t PackageSeed(const std::string& package, uint64_t salt) {
+  return FluxHash64(
+      ByteSpan(reinterpret_cast<const uint8_t*>(package.data()),
+               package.size()),
+      salt);
+}
+
+// Every process of the app, main first.
+std::vector<Pid> AppPids(const RunningApp& app) {
+  return app.all_pids.empty() ? std::vector<Pid>{app.pid} : app.all_pids;
 }
 
 // The write load of a prepared-but-still-running app during the pre-copy
@@ -50,10 +135,7 @@ class PrecopyWriteLoad {
                    const AppSpec& spec)
       : device_(device),
         spec_(spec),
-        rng_(FluxHash64(
-            ByteSpan(reinterpret_cast<const uint8_t*>(spec.package.data()),
-                     spec.package.size()),
-            /*seed=*/0x70726563)) {
+        rng_(PackageSeed(spec.package, 0x70726563)) {
     for (const Pid pid : pids) {
       if (SimProcess* process = device.kernel().FindProcess(pid)) {
         for (const MemorySegment& segment :
@@ -177,19 +259,20 @@ SimDuration MigrationReport::PerceivedExcludingTransfer() const {
 MigrationManager::MigrationManager(FluxAgent& home, FluxAgent& guest,
                                    MigrationConfig config)
     : home_(home), guest_(guest), config_(config) {
-  if (config_.precopy) {
-    // Pre-copy rides on the chunked pipeline and the content-addressed
-    // cache: rounds warm the guest cache, and the final stop-and-copy
-    // ships warmed chunks as refs.
+  if (config_.precopy || config_.resume) {
+    // Both ride on the chunk stream and the content-addressed cache:
+    // pre-copy rounds warm the guest cache so the stop-and-copy ships refs,
+    // and a resume acks against the chunk manifest.
     config_.pipelined = true;
     config_.chunk_dedup = true;
   }
-  if (config_.resume) {
-    // Resume acks against the chunk manifest, so it needs the chunked
-    // stream and the content-addressed cache.
-    config_.pipelined = true;
-    config_.chunk_dedup = true;
-  }
+  frames_.frame_payload_bytes = config_.frame_payload_bytes;
+  frames_.fec = config_.fec;
+}
+
+uint64_t MigrationManager::Charged(uint64_t bytes) const {
+  return config_.net_profile.IsClean() ? bytes
+                                       : FramedWireBytes(bytes, frames_);
 }
 
 MigrationManager::~MigrationManager() = default;
@@ -202,7 +285,7 @@ ThreadPool* MigrationManager::CompressionPool() {
   // the same workers instead of spawning pool-per-device threads. The
   // encoded output is a pure function of the input and pool width, so
   // sharing changes no bytes.
-  return ThreadPool::Shared(config_.compress_threads);
+  return ThreadPool::Shared(kCompressCores);
 }
 
 Status MigrationManager::Prepare(const RunningApp& app,
@@ -214,9 +297,7 @@ Status MigrationManager::Prepare(const RunningApp& app,
   // 1. Background the app: resumed activities pause, then the task idler
   //    stops them and the WindowManager frees their surfaces.
   FLUX_RETURN_IF_ERROR(device.activity_manager().MoveAppToBackground(app.pid));
-  if (config_.wait_for_task_idler) {
-    clock.Advance(device.activity_manager().idle_stop_delay());
-  }
+  clock.Advance(device.activity_manager().idle_stop_delay());
   device.activity_manager().RunTaskIdler();
 
   // 2. Trim memory at the highest severity: flush renderer caches, destroy
@@ -226,12 +307,11 @@ Status MigrationManager::Prepare(const RunningApp& app,
 
   // 3. Flux's eglUnload: remove the vendor GL library from every process of
   //    the app (helpers rarely hold one, but the invariant is per-process).
-  for (const Pid pid : app.all_pids.empty() ? std::vector<Pid>{app.pid}
-                                            : app.all_pids) {
+  for (const Pid pid : AppPids(app)) {
     FLUX_RETURN_IF_ERROR(device.egl().EglUnload(pid));
   }
 
-  device.context().SpendCpu(config_.prepare_fixed);
+  device.context().SpendCpu(kPrepareFixed);
   return OkStatus();
 }
 
@@ -247,8 +327,7 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
     return FailedPrecondition("app is not managed by the home Flux agent");
   }
 
-  const std::vector<Pid> pids =
-      app.all_pids.empty() ? std::vector<Pid>{app.pid} : app.all_pids;
+  const std::vector<Pid> pids = AppPids(app);
   FLUX_ASSIGN_OR_RETURN(
       CriaCheckpointResult cria,
       Cria::CheckpointTree(device, pids, *app.thread, config_.trace));
@@ -263,7 +342,7 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
     // Pipelined mode charges serialize (and compress) per chunk from the
     // overlapped stage schedule in TransferPipelined, not up front.
     device.context().SpendCpu(
-        CpuCost(device, cria.image.size(), config_.serialize_mbps));
+        CpuCost(device, cria.image.size(), kSerializeMbps));
   }
 
   ArchiveWriter payload;
@@ -288,86 +367,70 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
   if (config_.pipelined) {
     PipelineStats& stats = report.pipeline;
     stats.enabled = true;
-    stats.chunk_bytes = std::clamp<uint64_t>(config_.pipeline_chunk_bytes,
-                                             4 * 1024, 64ull * 1024 * 1024);
+    stats.chunk_bytes = kChunkCacheChunkBytes;
     const uint32_t chunk_size = static_cast<uint32_t>(stats.chunk_bytes);
-    if (config_.compress_image) {
-      const ByteSpan image_span(cria.image.data(), cria.image.size());
-      LzChunkDedupPlan plan;
-      if (config_.chunk_dedup) {
-        // Content-addressed delta transfer: hash every raw chunk, ask the
-        // guest's cache which ones it already holds (the manifest bytes and
-        // round trip are charged to the wire in TransferPipelined), and
-        // ship hits as 16-byte refs. Every chunk also lands in the home
-        // cache so the return hop can dedup against this checkpoint.
-        DedupStats& dedup = report.dedup;
-        dedup.enabled = true;
-        plan.stored_fallback = true;
-        plan.hashes = LzChunkHashes(image_span, chunk_size);
-        plan.ref_chunks.assign(plan.hashes.size(), 0);
-        // The resume handshake re-offers exactly this manifest.
-        payload_chunk_hashes_ = plan.hashes;
-        if (config_.resume) {
-          // Chunk-granular delivery needs the raw chunks at transfer time:
-          // the guest caches each as its wire window closes.
-          resume_raw_image_.assign(image_span.begin(), image_span.end());
+    const ByteSpan image_span(cria.image.data(), cria.image.size());
+    LzChunkDedupPlan plan;
+    if (config_.chunk_dedup) {
+      // Content-addressed delta transfer: hash every raw chunk, ask the
+      // guest's cache which ones it already holds (the manifest bytes and
+      // round trip are charged to the wire in TransferPipelined), and
+      // ship hits as 16-byte refs. Every chunk also lands in the home
+      // cache so the return hop can dedup against this checkpoint.
+      DedupStats& dedup = report.dedup;
+      dedup.enabled = true;
+      plan.stored_fallback = true;
+      plan.hashes = LzChunkHashes(image_span, chunk_size);
+      plan.ref_chunks.assign(plan.hashes.size(), 0);
+      // The resume handshake re-offers exactly this manifest.
+      payload_chunk_hashes_ = plan.hashes;
+      if (config_.resume) {
+        // Chunk-granular delivery needs the raw chunks at transfer time:
+        // the guest caches each as its wire window closes.
+        resume_raw_image_.assign(image_span.begin(), image_span.end());
+      }
+      dedup.chunk_count = static_cast<uint32_t>(plan.hashes.size());
+      dedup.manifest_wire_bytes =
+          ManifestHandshake(plan.hashes.size(), /*framed=*/false).total();
+      ChunkCache& guest_cache = guest_.chunk_cache();
+      ChunkCache& home_cache = home_.chunk_cache();
+      for (size_t i = 0; i < plan.hashes.size(); ++i) {
+        const uint64_t begin = uint64_t{i} * stats.chunk_bytes;
+        const uint64_t len = std::min<uint64_t>(stats.chunk_bytes,
+                                                image_span.size() - begin);
+        const ByteSpan chunk(image_span.data() + begin, len);
+        if (guest_cache.HasValid(plan.hashes[i])) {
+          plan.ref_chunks[i] = 1;
+          ++dedup.ref_chunks;
+          dedup.ref_raw_bytes += len;
         }
-        dedup.chunk_count = static_cast<uint32_t>(plan.hashes.size());
-        dedup.manifest_wire_bytes = ManifestWireBytes(plan.hashes.size());
-        ChunkCache& guest_cache = guest_.chunk_cache();
-        ChunkCache& home_cache = home_.chunk_cache();
-        for (size_t i = 0; i < plan.hashes.size(); ++i) {
-          const uint64_t begin = uint64_t{i} * stats.chunk_bytes;
-          const uint64_t len = std::min<uint64_t>(stats.chunk_bytes,
-                                                  image_span.size() - begin);
-          const ByteSpan chunk(image_span.data() + begin, len);
-          if (guest_cache.HasValid(plan.hashes[i])) {
-            plan.ref_chunks[i] = 1;
-            ++dedup.ref_chunks;
-            dedup.ref_raw_bytes += len;
-          }
-          home_cache.Insert(plan.hashes[i], chunk);
-        }
+        home_cache.Insert(plan.hashes[i], chunk);
       }
-      LzChunkStreams streams = LzCompressChunkStreamsDeduped(
-          image_span, chunk_size, CompressionPool(), plan);
-      Bytes().swap(cria.image);  // the streams carry the content now
-      stats.chunk_count = static_cast<uint32_t>(streams.chunks.size());
-      stats.chunk_kind = streams.kinds;
-      stats.chunk_wire_bytes.reserve(streams.chunks.size());
-      for (size_t i = 0; i < streams.chunks.size(); ++i) {
-        stats.chunk_wire_bytes.push_back(streams.ChunkWireBytes(i));
-        if (streams.KindOf(i) == LzChunkKind::kStored) {
-          ++report.dedup.stored_chunks;
-        }
-      }
-      if (!stats.chunk_wire_bytes.empty()) {
-        stats.chunk_wire_bytes[0] += streams.HeaderBytes();
-      }
-      report.image_compressed_bytes = streams.ContainerSize();
-      payload.PutBool(true);
-      // Frame the container straight into the payload, releasing each chunk
-      // buffer as it lands: peak memory stays ~1x the compressed image.
-      const size_t token = payload.BeginBytes();
-      LzFrameChunkContainer(
-          streams, [&payload](ByteSpan part) { payload.AppendRaw(part); },
-          /*release_chunks=*/true);
-      payload.EndBytes(token);
-    } else {
-      const uint64_t raw = cria.image.size();
-      stats.chunk_count = static_cast<uint32_t>(
-          raw == 0 ? 0 : (raw + stats.chunk_bytes - 1) / stats.chunk_bytes);
-      stats.chunk_wire_bytes.reserve(stats.chunk_count);
-      for (uint32_t i = 0; i < stats.chunk_count; ++i) {
-        stats.chunk_wire_bytes.push_back(
-            std::min<uint64_t>(stats.chunk_bytes,
-                               raw - uint64_t{i} * stats.chunk_bytes));
-      }
-      report.image_compressed_bytes = raw;
-      payload.PutBool(false);
-      payload.PutBytes(ByteSpan(cria.image.data(), cria.image.size()));
-      Bytes().swap(cria.image);
     }
+    LzChunkStreams streams = LzCompressChunkStreamsDeduped(
+        image_span, chunk_size, CompressionPool(), plan);
+    Bytes().swap(cria.image);  // the streams carry the content now
+    stats.chunk_count = static_cast<uint32_t>(streams.chunks.size());
+    stats.chunk_kind = streams.kinds;
+    stats.chunk_wire_bytes.reserve(streams.chunks.size());
+    for (size_t i = 0; i < streams.chunks.size(); ++i) {
+      stats.chunk_wire_bytes.push_back(streams.ChunkWireBytes(i));
+      if (streams.KindOf(i) == LzChunkKind::kStored) {
+        ++report.dedup.stored_chunks;
+      }
+    }
+    if (!stats.chunk_wire_bytes.empty()) {
+      stats.chunk_wire_bytes[0] += streams.HeaderBytes();
+    }
+    report.image_compressed_bytes = streams.ContainerSize();
+    payload.PutBool(true);
+    // Frame the container straight into the payload, releasing each chunk
+    // buffer as it lands: peak memory stays ~1x the compressed image.
+    const size_t token = payload.BeginBytes();
+    LzFrameChunkContainer(
+        streams, [&payload](ByteSpan part) { payload.AppendRaw(part); },
+        /*release_chunks=*/true);
+    payload.EndBytes(token);
     return payload.TakeData();
   }
 
@@ -376,7 +439,7 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
     Bytes compressed = LzCompress(
         ByteSpan(cria.image.data(), cria.image.size()));
     device.context().SpendCpu(
-        CpuCost(device, report.image_raw_bytes, config_.compress_mbps));
+        CpuCost(device, report.image_raw_bytes, kCompressMbps));
     report.compress.end = device.clock().now();
     // The raw image is dead once compressed; free it before the payload
     // append so peak checkpoint memory stays ~1x the image, not ~3x.
@@ -407,8 +470,7 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
   pre.enabled = true;
   pre.window.begin = clock.now();
 
-  const std::vector<Pid> pids =
-      app.all_pids.empty() ? std::vector<Pid>{app.pid} : app.all_pids;
+  const std::vector<Pid> pids = AppPids(app);
 
   // The app is prepared (backgrounded, trimmed, GL-free) but its processes
   // keep running until the freeze: this write load dirties the heap at the
@@ -416,24 +478,11 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
   PrecopyWriteLoad load(device, pids, spec);
   precopy_mutator_ = [&load](SimDuration elapsed) { load.Apply(elapsed); };
 
-  const uint32_t chunk_size = static_cast<uint32_t>(std::clamp<uint64_t>(
-      config_.pipeline_chunk_bytes, 4 * 1024, 64ull * 1024 * 1024));
+  const uint32_t chunk_size = static_cast<uint32_t>(kChunkCacheChunkBytes);
   const EffectiveLink link = wifi.LinkBetween(device.profile().radio,
                                               guest_device.profile().radio);
-  // Hostile profile: round traffic is charged framed (arithmetic — the
-  // per-frame codec runs only in the stop-and-copy); clean leaves every
-  // byte count identical.
-  const bool shaped = !config_.net_profile.IsClean();
-  FrameStreamOptions fopts;
-  fopts.frame_payload_bytes = config_.frame_payload_bytes;
-  fopts.fec_group_data_frames = config_.fec_group_data_frames;
-  fopts.fec = config_.fec;
-  auto charged = [&](uint64_t bytes) {
-    return shaped ? FramedWireBytes(bytes, fopts) : bytes;
-  };
   ChunkCache& guest_cache = guest_.chunk_cache();
   ChunkCache& home_cache = home_.chunk_cache();
-  const int cores = std::clamp(config_.compress_threads, 1, 4);
 
   Bytes current;             // the image as of the latest cut
   uint64_t epoch = 0;        // dirty epoch opened at that cut
@@ -501,14 +550,8 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
       // Compress for the wire, with the dedup container's stored fallback
       // for incompressible chunks.
       const ByteSpan chunk(image_span.data() + begin, len);
-      uint64_t wire = len;
-      if (config_.compress_image) {
-        const Bytes packed = LzCompress(chunk);
-        if (packed.size() < len) {
-          wire = packed.size();
-        }
-      }
-      plan_chunks.push_back({i, begin, len, wire});
+      const uint64_t packed = LzCompress(chunk).size();
+      plan_chunks.push_back({i, begin, len, std::min(packed, len)});
       r.pending_raw_bytes += len;
     }
     r.pending_chunks = static_cast<uint32_t>(plan_chunks.size());
@@ -516,15 +559,17 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
 
     // Bandwidth-aware termination: what would freezing at this cut cost?
     // The pending chunks pay the full serialize → wire → restore path in
-    // the stop-and-copy; everything else rides the cache as refs.
+    // the stop-and-copy; everything else rides the cache as refs. Under a
+    // hostile profile round traffic is charged framed (arithmetic; the
+    // per-frame codec runs only in the stop-and-copy).
     uint64_t pending_wire = 0;
     for (const Planned& p : plan_chunks) {
-      pending_wire += charged(p.wire);
+      pending_wire += Charged(p.wire);
     }
     r.est_stop_copy =
-        CpuCost(device, r.pending_raw_bytes, config_.serialize_mbps) +
+        CpuCost(device, r.pending_raw_bytes, kSerializeMbps) +
         wifi.TransferTime(pending_wire, link) +
-        CpuCost(guest_device, r.pending_raw_bytes, config_.restore_mbps);
+        CpuCost(guest_device, r.pending_raw_bytes, kRestoreMbps);
     FLUX_EVENT(home_rec, flight_events::kSubMigration,
                flight_events::kMigrationPrecopyRound, EventSeverity::kInfo,
                static_cast<uint64_t>(round), r.pending_raw_bytes);
@@ -538,8 +583,7 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     }
     if (round > 0 && pending_prev > 0 &&
         static_cast<double>(r.pending_raw_bytes) >
-            config_.precopy_min_round_shrink *
-                static_cast<double>(pending_prev)) {
+            kPrecopyMinRoundShrink * static_cast<double>(pending_prev)) {
       stop_reason = StrFormat(
           "pending set stopped shrinking (%llu -> %llu bytes in round %d)",
           static_cast<unsigned long long>(pending_prev),
@@ -553,6 +597,8 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     // Stream the missing chunks, warming both caches for the final
     // stop-and-copy's dedup pass. Round 0 streams the whole image; later
     // rounds only the chunks the writes actually changed.
+    std::vector<ChunkWork> work;
+    work.reserve(plan_chunks.size());
     for (const Planned& p : plan_chunks) {
       const ByteSpan chunk(image_span.data() + p.begin, p.len);
       home_cache.Insert(hashes[p.index], chunk);
@@ -563,7 +609,11 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
         guest_cache.Insert(hashes[p.index], chunk);
       }
       r.raw_bytes_sent += p.len;
-      r.wire_bytes += charged(p.wire);
+      r.wire_bytes += Charged(p.wire);
+      work.push_back({.raw = p.len,
+                      .wire = Charged(p.wire),
+                      .kind = p.wire < p.len ? LzChunkKind::kLz
+                                             : LzChunkKind::kStored});
     }
     r.chunks_sent = static_cast<uint32_t>(plan_chunks.size());
 
@@ -572,34 +622,8 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
     // app keeps mutating while this advances — that is the race pre-copy
     // iterates against.
     {
-      std::vector<PipelineStageModel> stages(4);
-      stages[0].name = "serialize";
-      stages[1].name = "compress";
-      stages[2].name = "wire";
-      stages[3].name = "decompress";
-      for (auto& stage : stages) {
-        stage.chunk_cost.reserve(plan_chunks.size());
-      }
-      for (size_t i = 0; i < plan_chunks.size(); ++i) {
-        const Planned& p = plan_chunks[i];
-        stages[0].chunk_cost.push_back(
-            CpuCost(device, p.len, config_.serialize_mbps));
-        stages[1].chunk_cost.push_back(
-            config_.compress_image
-                ? CpuCost(device, p.len, config_.compress_mbps) / cores
-                : 0);
-        SimDuration wire_cost =
-            wifi.TransferTime(charged(p.wire), link) - link.latency;
-        if (i == 0) {
-          wire_cost += link.latency;
-        }
-        stages[2].chunk_cost.push_back(wire_cost);
-        stages[3].chunk_cost.push_back(
-            config_.compress_image && p.wire < p.len
-                ? CpuCost(guest_device, p.len, config_.decompress_mbps)
-                : 0);
-      }
-      const PipelinePlan plan = SchedulePipeline(stages);
+      const PipelinePlan plan = SchedulePipeline(ChunkStageCosts(
+          work, device, guest_device, wifi, link, /*restore_stage=*/false));
       if (!config_.resume) {
         if (!AdvanceWithTicks(t0 + plan.makespan, &wifi)) {
           precopy_mutator_ = nullptr;
@@ -617,7 +641,7 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
           while (!AdvanceWithTicks(
               t0 + plan.finish[kWireStage][i] + round_extra, &wifi)) {
             auto resumed =
-                ResumeAfterOutage(wifi, link, hashes, charged(p.wire),
+                ResumeAfterOutage(wifi, link, hashes, Charged(p.wire),
                                   "network lost during pre-copy round",
                                   report);
             if (!resumed.ok()) {
@@ -722,21 +746,15 @@ Result<AppDataSync> MigrationManager::SyncAppData(const RunningApp& app,
   SyncOptions options;
   options.compress = true;
   uint64_t data_wire = 0;
-  const std::string data_dir = "/data/data/" + app.package;
-  if (home_device.filesystem().Exists(data_dir)) {
-    FLUX_ASSIGN_OR_RETURN(
-        SyncStats sync,
-        SyncTree(home_device.filesystem(), data_dir, guest_device.filesystem(),
-                 pair_root + data_dir, options));
-    data_wire += sync.WireBytes();
-  }
-  const std::string sd_dir = "/sdcard/Android/data/" + app.package;
-  if (home_device.filesystem().Exists(sd_dir)) {
-    FLUX_ASSIGN_OR_RETURN(
-        SyncStats sync,
-        SyncTree(home_device.filesystem(), sd_dir, guest_device.filesystem(),
-                 pair_root + sd_dir, options));
-    data_wire += sync.WireBytes();
+  for (const std::string& dir : {"/data/data/" + app.package,
+                                 "/sdcard/Android/data/" + app.package}) {
+    if (home_device.filesystem().Exists(dir)) {
+      FLUX_ASSIGN_OR_RETURN(
+          SyncStats sync,
+          SyncTree(home_device.filesystem(), dir, guest_device.filesystem(),
+                   pair_root + dir, options));
+      data_wire += sync.WireBytes();
+    }
   }
   return AppDataSync{apk_wire, data_wire};
 }
@@ -745,13 +763,12 @@ bool MigrationManager::AdvanceWithTicks(SimTime target, WifiNetwork* watch) {
   Device& home_device = home_.device();
   Device& guest_device = guest_.device();
   SimClock& clock = home_device.clock();
-  const SimDuration slice =
-      config_.transfer_tick > 0 ? config_.transfer_tick : Millis(250);
   while (clock.now() < target) {
     if (watch != nullptr && !watch->UpAt(clock.now())) {
       return false;
     }
-    const SimDuration step = std::min<SimDuration>(slice, target - clock.now());
+    const SimDuration step =
+        std::min<SimDuration>(kTransferTick, target - clock.now());
     clock.Advance(step);
     if (precopy_mutator_) {
       // Pre-copy rounds only: the app is still running at home and keeps
@@ -779,10 +796,9 @@ Result<MigrationManager::ResumeOutcome> MigrationManager::ResumeAfterOutage(
   if (!config_.resume) {
     return Unavailable(fail_msg);
   }
-  if (static_cast<int>(res.attempts) >= config_.resume_max_attempts) {
-    return Unavailable(StrFormat(
-                           "resume attempt budget (%d) exhausted",
-                           config_.resume_max_attempts))
+  if (static_cast<int>(res.attempts) >= kResumeMaxAttempts) {
+    return Unavailable(StrFormat("resume attempt budget (%d) exhausted",
+                                 kResumeMaxAttempts))
         .WithCause(Unavailable(fail_msg));
   }
   const SimTime down_at = clock.now();
@@ -808,16 +824,12 @@ Result<MigrationManager::ResumeOutcome> MigrationManager::ResumeAfterOutage(
 
   // The handshake (PROTOCOL.md §8): one kResumeOffer frame carrying the
   // manifest out, one kResumeAck frame carrying the availability bitmap
-  // back. Same shape as the dedup manifest exchange, plus frame headers;
-  // the offer header carries the 16-byte trace-context field (§7.1), so
-  // the resumed transfer re-joins the same causal trace on the guest.
-  const uint64_t n = manifest.size();
-  const uint64_t offer_bytes = kFrameHeaderSize + 32 + 16 * n;
-  const uint64_t ack_bytes = kFrameHeaderSize + 8 + (n + 7) / 8;
-  const SimDuration handshake =
-      wifi.TransferTime(offer_bytes, link) + wifi.TransferTime(ack_bytes, link);
-  AdvanceWithTicks(clock.now() + handshake);
-  res.handshake_wire_bytes += offer_bytes + ack_bytes;
+  // back. The offer header carries the 16-byte trace-context field (§7.1),
+  // so the resumed transfer re-joins the same causal trace on the guest.
+  const HandshakeBytes hs = ManifestHandshake(manifest.size(), /*framed=*/true);
+  AdvanceWithTicks(clock.now() + wifi.TransferTime(hs.out, link) +
+                   wifi.TransferTime(hs.back, link));
+  res.handshake_wire_bytes += hs.total();
 
   // The ack: chunks the guest's cache already holds — everything delivered
   // before the outage plus anything warm from earlier hops — never travel
@@ -839,7 +851,7 @@ Result<MigrationManager::ResumeOutcome> MigrationManager::ResumeAfterOutage(
              res.attempts, acked);
 
   ResumeOutcome out;
-  out.wire_bytes = offer_bytes + ack_bytes + resend_wire;
+  out.wire_bytes = hs.total() + resend_wire;
   out.extra = (stall.end - stall.begin) +
               (resend_wire > 0
                    ? wifi.TransferTime(resend_wire, link) - link.latency
@@ -865,15 +877,10 @@ Status MigrationManager::Transfer(const RunningApp& app, const AppSpec& spec,
     // retransmissions as deterministic arithmetic (the pipelined path runs
     // the real per-frame codec; DESIGN.md §13). Jitter and rate dips are
     // folded into the delivery rate, not drawn per frame.
-    FrameStreamOptions fopts;
-    fopts.frame_payload_bytes = config_.frame_payload_bytes;
-    fopts.fec_group_data_frames = config_.fec_group_data_frames;
-    fopts.fec = config_.fec;
     const double delivery =
         1.0 - std::min(0.9, config_.net_profile.MeanLossRate());
     report.total_wire_bytes = static_cast<uint64_t>(std::ceil(
-        static_cast<double>(FramedWireBytes(report.total_wire_bytes, fopts)) /
-        delivery));
+        static_cast<double>(Charged(report.total_wire_bytes)) / delivery));
     report.frame_wire.enabled = true;
     report.frame_wire.wire_bytes = report.total_wire_bytes;
   }
@@ -885,7 +892,7 @@ Status MigrationManager::Transfer(const RunningApp& app, const AppSpec& spec,
   // right simulated time.
   const bool delivered = home_device.wifi().TransferWithTicks(
       home_device.clock(), report.total_wire_bytes, link,
-      config_.transfer_tick, [&home_device, &guest_device] {
+      kTransferTick, [&home_device, &guest_device] {
         home_device.Tick();
         guest_device.Tick();
       });
@@ -904,21 +911,13 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   SimClock& clock = home_device.clock();
   WifiNetwork& wifi = home_device.wifi();
   PipelineStats& stats = report.pipeline;
-  const uint64_t payload_bytes = payload.size();
 
   // Hostile-network path (DESIGN.md §13): a non-clean profile frames every
   // wire byte and runs the real frame codec per chunk; resume additionally
   // rides out recoverable outages. Both off (the default) leaves this
-  // function byte-identical to the baseline schedule — `charged` is the
-  // identity and every new branch below is dead.
+  // function byte-identical to the baseline schedule — Charged is the
+  // identity and the codec never runs.
   const bool shaped = !config_.net_profile.IsClean();
-  FrameStreamOptions fopts;
-  fopts.frame_payload_bytes = config_.frame_payload_bytes;
-  fopts.fec_group_data_frames = config_.fec_group_data_frames;
-  fopts.fec = config_.fec;
-  auto charged = [&](uint64_t bytes) {
-    return shaped ? FramedWireBytes(bytes, fopts) : bytes;
-  };
   if (config_.resume) {
     report.resume.enabled = true;
   }
@@ -951,14 +950,6 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
                                               guest_device.profile().radio);
 
   const size_t count = stats.chunk_count;
-  uint64_t container_bytes = 0;
-  for (const uint64_t wire : stats.chunk_wire_bytes) {
-    container_bytes += wire;
-  }
-  // Payload bytes outside the image container (magic, package name, hw +
-  // log sections) ship with the data sync, ahead of the chunk stream.
-  const uint64_t prefix_payload = payload_bytes - container_bytes;
-
   // Post-copy composition: only the priority prefix of chunks streams in
   // the foreground; deferred chunks cost nothing on the foreground wire
   // (they stream in the background; demand paging serves faults).
@@ -970,76 +961,46 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
         1, static_cast<size_t>(
                std::ceil(static_cast<double>(count) * fraction)));
     foreground_chunks = std::min(foreground_chunks, count);
-    for (size_t i = foreground_chunks; i < count; ++i) {
-      report.deferred_bytes += charged(stats.chunk_wire_bytes[i]);
-    }
   }
-  // The manifest handshake (hashes out, availability bitmap back) is real
-  // wire traffic even though its latency mostly hides under the data sync.
-  // Under a profile every component is charged framed: chunks per chunk,
-  // the non-image prefix as one stream, and the manifest as two control
-  // frames (kManifest + kManifestAck).
+  // Each chunk's work for the stage-cost model, charged framed under a
+  // profile (chunks per chunk, the non-image prefix below as one stream).
+  std::vector<ChunkWork> work(count);
+  uint64_t container_bytes = 0;
   uint64_t container_charged = 0;
-  for (const uint64_t wire : stats.chunk_wire_bytes) {
-    container_charged += charged(wire);
-  }
-  const uint64_t manifest_charged =
-      report.dedup.manifest_wire_bytes +
-      (shaped && report.dedup.enabled ? 2 * kFrameHeaderSize : 0);
-  const uint64_t foreground_wire = report.data_sync_bytes +
-                                   charged(prefix_payload) + container_charged -
-                                   report.deferred_bytes + manifest_charged;
-
-  // Per-chunk stage costs from the same models as the serial path. The
-  // compress stage fans out over the device's cores (quad-core baseline),
-  // which is what the host thread pool mirrors in wall-clock time.
-  const int cores = std::clamp(config_.compress_threads, 1, 4);
-  std::vector<PipelineStageModel> stages(5);
-  stages[0].name = "serialize";
-  stages[1].name = "compress";
-  stages[2].name = "wire";
-  stages[3].name = "decompress";
-  stages[4].name = "restore";
-  for (auto& stage : stages) {
-    stage.chunk_cost.reserve(count);
-  }
   for (size_t i = 0; i < count; ++i) {
-    const uint64_t raw_i = std::min<uint64_t>(
+    ChunkWork& c = work[i];
+    c.raw = std::min<uint64_t>(
         stats.chunk_bytes,
         report.image_raw_bytes - uint64_t{i} * stats.chunk_bytes);
-    // Dedup mode: a ref chunk never runs the codec — the home side ships
-    // its hash and the guest memcpys verified cache content. A stored
-    // chunk still paid the compress attempt (that is how it was found
-    // incompressible) but decodes with a plain copy.
-    const LzChunkKind kind = i < stats.chunk_kind.size()
-                                 ? static_cast<LzChunkKind>(stats.chunk_kind[i])
-                                 : LzChunkKind::kLz;
+    c.wire = Charged(stats.chunk_wire_bytes[i]);
+    if (i < stats.chunk_kind.size()) {
+      c.kind = static_cast<LzChunkKind>(stats.chunk_kind[i]);
+    }
+    c.on_wire = i < foreground_chunks;
     // Pre-copy: a ref chunk was serialized during the warm-up rounds (the
     // dirty bitmap proves it unchanged since), and the guest applied its
     // cached content then too — both endpoints skip it in the stop-and-copy.
-    const bool prewarmed = config_.precopy && kind == LzChunkKind::kRef;
-    stages[0].chunk_cost.push_back(
-        prewarmed ? 0 : CpuCost(home_device, raw_i, config_.serialize_mbps));
-    stages[1].chunk_cost.push_back(
-        config_.compress_image && kind != LzChunkKind::kRef
-            ? CpuCost(home_device, raw_i, config_.compress_mbps) / cores
-            : 0);
-    SimDuration wire_cost =
-        i < foreground_chunks
-            ? wifi.TransferTime(charged(stats.chunk_wire_bytes[i]), link) -
-                  link.latency
-            : 0;
-    if (i == 0) {
-      wire_cost += link.latency;  // one stream handshake, not one per chunk
+    c.prewarmed = config_.precopy && c.kind == LzChunkKind::kRef;
+    container_bytes += stats.chunk_wire_bytes[i];
+    container_charged += c.wire;
+    if (!c.on_wire) {
+      report.deferred_bytes += c.wire;
     }
-    stages[2].chunk_cost.push_back(wire_cost);
-    stages[3].chunk_cost.push_back(
-        config_.compress_image && kind == LzChunkKind::kLz
-            ? CpuCost(guest_device, raw_i, config_.decompress_mbps)
-            : 0);
-    stages[4].chunk_cost.push_back(
-        prewarmed ? 0 : CpuCost(guest_device, raw_i, config_.restore_mbps));
   }
+  // Payload bytes outside the image container (magic, package name, hw +
+  // log sections) ship with the data sync, ahead of the chunk stream.
+  const uint64_t prefix_payload = payload.size() - container_bytes;
+  // The manifest handshake (hashes out, availability bitmap back) is real
+  // wire traffic even though its latency mostly hides under the data sync;
+  // under a profile it is two control frames (kManifest + kManifestAck).
+  const HandshakeBytes manifest =
+      ManifestHandshake(report.dedup.chunk_count, shaped);
+  const uint64_t foreground_wire =
+      report.data_sync_bytes + Charged(prefix_payload) + container_charged -
+      report.deferred_bytes + (report.dedup.enabled ? manifest.total() : 0);
+
+  std::vector<PipelineStageModel> stages = ChunkStageCosts(
+      work, home_device, guest_device, wifi, link, /*restore_stage=*/true);
   // The wire is busy before chunk 0 can stream: the sync protocol itself
   // (already on the clock — `sync_elapsed` covers the APK verification
   // exchange), then the data-sync bytes + non-image payload prefix still
@@ -1050,7 +1011,7 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   // stream handshake latency is charged once, on chunk 0.
   SimDuration wire_offset =
       sync_elapsed +
-      wifi.TransferTime(charged(sync.data_wire_bytes + prefix_payload), link) -
+      wifi.TransferTime(Charged(sync.data_wire_bytes + prefix_payload), link) -
       link.latency;
   if (report.dedup.enabled) {
     // The manifest handshake: hashes go out as soon as the checkpoint is
@@ -1060,15 +1021,8 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
     // overlaps the data sync on the same link and the home-side fill of
     // chunk 0 (hashing finishes before compression begins), so it delays
     // the stream only when it outlasts both.
-    // 32-byte manifest header: framing fields + the 16-byte trace-context
-    // field (PROTOCOL.md §7.1), matching ManifestWireBytes above.
-    const uint64_t hashes_out = 32 + 16 * uint64_t{report.dedup.chunk_count} +
-                                (shaped ? kFrameHeaderSize : 0);
-    const uint64_t bitmap_back = 8 +
-                                 (uint64_t{report.dedup.chunk_count} + 7) / 8 +
-                                 (shaped ? kFrameHeaderSize : 0);
-    report.dedup.manifest_rtt = wifi.TransferTime(hashes_out, link) +
-                                wifi.TransferTime(bitmap_back, link);
+    report.dedup.manifest_rtt = wifi.TransferTime(manifest.out, link) +
+                                wifi.TransferTime(manifest.back, link);
     const SimDuration fill0 =
         count > 0 ? stages[0].chunk_cost[0] + stages[1].chunk_cost[0] : 0;
     if (report.dedup.ref_chunks > 0 && report.dedup.manifest_rtt > fill0) {
@@ -1085,16 +1039,11 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   // full-image serialize + single-core compress, one monolithic transfer,
   // then decompress + restore — the Figure 13 sum.
   stats.serial_estimate =
-      CpuCost(home_device, report.image_raw_bytes, config_.serialize_mbps) +
-      (config_.compress_image
-           ? CpuCost(home_device, report.image_raw_bytes, config_.compress_mbps)
-           : 0) +
+      CpuCost(home_device, report.image_raw_bytes, kSerializeMbps) +
+      CpuCost(home_device, report.image_raw_bytes, kCompressMbps) +
       sync_elapsed + wifi.TransferTime(foreground_wire, link) +
-      (config_.compress_image
-           ? CpuCost(guest_device, report.image_raw_bytes,
-                     config_.decompress_mbps)
-           : 0) +
-      CpuCost(guest_device, report.image_raw_bytes, config_.restore_mbps);
+      CpuCost(guest_device, report.image_raw_bytes, kDecompressMbps) +
+      CpuCost(guest_device, report.image_raw_bytes, kRestoreMbps);
   stats.saved = stats.serial_estimate > stats.makespan
                     ? stats.serial_estimate - stats.makespan
                     : 0;
@@ -1117,8 +1066,7 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   // past checkpoint.end into the transfer window — compression overlaps
   // the wire by design; it is a contained detail, not a sixth timeline
   // phase (Total() stays the sum of the five + tail).
-  if (count > 0 && config_.compress_image &&
-      plan.stages[kCompress].busy > 0) {
+  if (count > 0 && plan.stages[kCompress].busy > 0) {
     report.compress.begin = t0 + plan.finish[kCompress][0] -
                             stages[kCompress].chunk_cost[0];
     report.compress.end = t0 + plan.stages[kCompress].finish;
@@ -1157,110 +1105,87 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
                    report.dedup.ref_chunks);
 
   // Stream the chunks: advance to each wire-stage finish, watching for
-  // outages at every tick boundary.
+  // outages at every tick boundary. An outage runs the resume handshake
+  // (with resume off, ResumeAfterOutage fails it and the caller rolls
+  // back); then the in-flight bytes re-send and the rest of the schedule
+  // shifts by the stall (`extra` accumulates across chunks).
   SimDuration extra = 0;    // hostile/resume time beyond the loss-free plan
   uint64_t extra_wire = 0;  // retransmissions + handshakes on the air
-  if (!shaped && !config_.resume) {
-    // Baseline: the loss-free schedule, aborting on any outage.
-    if (!AdvanceWithTicks(t0 + stages[kWire].initial_offset + link.latency,
-                          &wifi)) {
-      return Unavailable("network lost mid-transfer; payload incomplete");
+  auto advance_stream = [&](SimTime target, uint64_t resend_wire) -> Status {
+    while (!AdvanceWithTicks(target + extra, &wifi)) {
+      auto resumed = ResumeAfterOutage(
+          wifi, link, payload_chunk_hashes_, resend_wire,
+          "network lost mid-transfer; payload incomplete", report);
+      FLUX_RETURN_IF_ERROR(resumed.status());
+      extra += resumed.value().extra;
+      extra_wire += resumed.value().wire_bytes;
     }
-    for (size_t i = 0; i < foreground_chunks; ++i) {
-      if (!AdvanceWithTicks(t0 + plan.finish[kWire][i], &wifi)) {
-        return Unavailable("network lost mid-transfer; payload incomplete");
+    return OkStatus();
+  };
+  FlightRecorder* home_rec = &home_device.flight_recorder();
+  FrameWireStats& fw = report.frame_wire;
+  fw.enabled = fw.enabled || shaped;
+  std::optional<LinkShaper> shaper;
+  if (shaped) {
+    shaper.emplace(config_.net_profile,
+                   PackageSeed(app.package, 0x6672616d) ^ config_.net_seed);
+  }
+  FLUX_RETURN_IF_ERROR(advance_stream(
+      t0 + stages[kWire].initial_offset + link.latency, /*resend_wire=*/0));
+  uint64_t chunk_off = prefix_payload;
+  uint32_t next_seq = 0;
+  uint32_t next_group = 0;
+  for (size_t i = 0; i < foreground_chunks; ++i) {
+    const uint64_t chunk_len = stats.chunk_wire_bytes[i];
+    uint64_t in_flight = work[i].wire;
+    if (shaper) {
+      // The real codec over this chunk's payload bytes: encode, lose,
+      // CRC-reject corrupt arrivals, FEC-reconstruct, retransmit — and
+      // the reassembly is checked byte-for-byte against what was sent.
+      FLUX_ASSIGN_OR_RETURN(
+          const ChunkTransmission tx,
+          TransmitFramedChunk(payload.subspan(chunk_off, chunk_len), *shaper,
+                              frames_, next_seq, next_group, home_rec));
+      next_seq = tx.next_seq;
+      next_group = tx.next_group;
+      fw.frames_sent += tx.frames_sent;
+      fw.data_frames += tx.data_frames;
+      fw.parity_frames += tx.parity_frames;
+      fw.frames_lost += tx.frames_lost;
+      fw.crc_errors += tx.crc_errors;
+      fw.frames_recovered += tx.frames_recovered;
+      fw.frames_retransmitted += tx.frames_retransmitted;
+      fw.wire_bytes += tx.wire_bytes;
+      fw.lost_bytes += tx.lost_bytes;
+      fw.retransmit_bytes += tx.retransmit_bytes;
+      extra_wire += tx.retransmit_bytes;
+      in_flight = tx.wire_bytes;
+      // Time beyond the loss-free framed plan: retransmission rounds,
+      // this chunk's jitter draw, and a rate dip stretching its window.
+      SimDuration chunk_extra = shaper->NextJitter();
+      if (tx.retransmit_bytes > 0) {
+        chunk_extra +=
+            wifi.TransferTime(tx.retransmit_bytes, link) - link.latency;
       }
+      const double dip = shaper->NextRateFactor();
+      if (dip < 1.0) {
+        const SimDuration base =
+            wifi.TransferTime(tx.wire_bytes, link) - link.latency;
+        chunk_extra += FromSecondsF(ToSecondsF(base) * (1.0 / dip - 1.0));
+      }
+      extra += chunk_extra;
     }
-  } else {
-    FlightRecorder* home_rec = &home_device.flight_recorder();
-    FrameWireStats& fw = report.frame_wire;
-    fw.enabled = fw.enabled || shaped;
-    std::optional<LinkShaper> shaper;
-    if (shaped) {
-      shaper.emplace(config_.net_profile,
-                     FluxHash64(ByteSpan(reinterpret_cast<const uint8_t*>(
-                                             app.package.data()),
-                                         app.package.size()),
-                                /*seed=*/0x6672616d) ^
-                         config_.net_seed);
+    FLUX_RETURN_IF_ERROR(advance_stream(t0 + plan.finish[kWire][i], in_flight));
+    if (!resume_raw_image_.empty()) {
+      // Resume mode's chunk-granular delivery: the guest caches each chunk
+      // as its wire window closes, so a resume ack covers exactly the
+      // delivered prefix (plus anything warm from earlier hops).
+      const uint64_t begin = uint64_t{i} * stats.chunk_bytes;
+      guest_.chunk_cache().Insert(
+          payload_chunk_hashes_[i],
+          ByteSpan(resume_raw_image_.data() + begin, work[i].raw));
     }
-    // Rides out an outage at any tick boundary: resume handshake, then the
-    // in-flight bytes re-send and the rest of the schedule shifts by the
-    // stall (`extra` accumulates across chunks).
-    auto advance_stream = [&](SimTime target, uint64_t resend_wire) -> Status {
-      while (!AdvanceWithTicks(target + extra, &wifi)) {
-        auto resumed = ResumeAfterOutage(
-            wifi, link, payload_chunk_hashes_, resend_wire,
-            "network lost mid-transfer; payload incomplete", report);
-        FLUX_RETURN_IF_ERROR(resumed.status());
-        extra += resumed.value().extra;
-        extra_wire += resumed.value().wire_bytes;
-      }
-      return OkStatus();
-    };
-    FLUX_RETURN_IF_ERROR(advance_stream(
-        t0 + stages[kWire].initial_offset + link.latency, /*resend_wire=*/0));
-    uint64_t chunk_off = payload.size() - container_bytes;
-    uint32_t next_seq = 0;
-    uint32_t next_group = 0;
-    for (size_t i = 0; i < foreground_chunks; ++i) {
-      const uint64_t chunk_len = stats.chunk_wire_bytes[i];
-      uint64_t in_flight = charged(chunk_len);
-      if (shaper) {
-        // The real codec over this chunk's payload bytes: encode, lose,
-        // CRC-reject corrupt arrivals, FEC-reconstruct, retransmit — and
-        // the reassembly is checked byte-for-byte against what was sent.
-        FLUX_ASSIGN_OR_RETURN(
-            const ChunkTransmission tx,
-            TransmitFramedChunk(payload.subspan(chunk_off, chunk_len), *shaper,
-                                fopts, next_seq, next_group, home_rec));
-        next_seq = tx.next_seq;
-        next_group = tx.next_group;
-        fw.frames_sent += tx.frames_sent;
-        fw.data_frames += tx.data_frames;
-        fw.parity_frames += tx.parity_frames;
-        fw.frames_lost += tx.frames_lost;
-        fw.crc_errors += tx.crc_errors;
-        fw.frames_recovered += tx.frames_recovered;
-        fw.frames_retransmitted += tx.frames_retransmitted;
-        fw.wire_bytes += tx.wire_bytes;
-        fw.lost_bytes += tx.lost_bytes;
-        fw.retransmit_bytes += tx.retransmit_bytes;
-        extra_wire += tx.retransmit_bytes;
-        in_flight = tx.wire_bytes;
-        // Time beyond the loss-free framed plan: retransmission rounds,
-        // this chunk's jitter draw, and a rate dip stretching its window.
-        SimDuration chunk_extra = shaper->NextJitter();
-        if (tx.retransmit_bytes > 0) {
-          chunk_extra +=
-              wifi.TransferTime(tx.retransmit_bytes, link) - link.latency;
-        }
-        const double dip = shaper->NextRateFactor();
-        if (dip < 1.0) {
-          const SimDuration base =
-              wifi.TransferTime(tx.wire_bytes, link) - link.latency;
-          chunk_extra += FromSecondsF(ToSecondsF(base) * (1.0 / dip - 1.0));
-        }
-        extra += chunk_extra;
-      }
-      FLUX_RETURN_IF_ERROR(
-          advance_stream(t0 + plan.finish[kWire][i], in_flight));
-      if (config_.resume && i < payload_chunk_hashes_.size() &&
-          !resume_raw_image_.empty()) {
-        // Chunk-granular delivery: the guest caches each chunk as its wire
-        // window closes, so a resume ack covers exactly the delivered
-        // prefix (plus anything warm from earlier hops).
-        const uint64_t begin = uint64_t{i} * stats.chunk_bytes;
-        if (begin < resume_raw_image_.size()) {
-          const uint64_t len = std::min<uint64_t>(
-              stats.chunk_bytes, resume_raw_image_.size() - begin);
-          guest_.chunk_cache().Insert(
-              payload_chunk_hashes_[i],
-              ByteSpan(resume_raw_image_.data() + begin, len));
-        }
-      }
-      chunk_off += chunk_len;
-    }
+    chunk_off += chunk_len;
   }
   wifi.AccountTraffic(foreground_wire + extra_wire);
   report.total_wire_bytes = foreground_wire + extra_wire;
@@ -1349,13 +1274,13 @@ Result<CriaRestoredApp> MigrationManager::RestoreOnGuest(
     }
     if (!config_.pipelined) {
       guest_device.context().SpendCpu(
-          CpuCost(guest_device, image_bytes.size(), config_.decompress_mbps));
+          CpuCost(guest_device, image_bytes.size(), kDecompressMbps));
     }
     image = ByteSpan(image_bytes.data(), image_bytes.size());
   }
   if (!config_.pipelined) {
     guest_device.context().SpendCpu(
-        CpuCost(guest_device, image.size(), config_.restore_mbps));
+        CpuCost(guest_device, image.size(), kRestoreMbps));
   }
   report.restored_image_hash = FluxHash128(image);
   if (config_.chunk_dedup && LzIsChunkedStream(image_view)) {
@@ -1431,7 +1356,7 @@ Status MigrationManager::Reintegrate(CriaRestoredApp& restored,
   for (const std::string& token : restored.activity_tokens) {
     FLUX_RETURN_IF_ERROR(restored.thread->DrawFrame(token));
   }
-  guest_device.context().SpendCpu(config_.reintegrate_fixed);
+  guest_device.context().SpendCpu(kReintegrateFixed);
   return OkStatus();
 }
 
@@ -1484,11 +1409,7 @@ Result<MigrationReport> MigrationManager::Migrate(const RunningApp& app,
   if (!config_.net_profile.IsClean()) {
     home_.device().wifi().ApplyProfile(
         config_.net_profile,
-        FluxHash64(ByteSpan(reinterpret_cast<const uint8_t*>(
-                                app.package.data()),
-                            app.package.size()),
-                   0x6f757467u) ^
-            config_.net_seed);
+        PackageSeed(app.package, 0x6f757467u) ^ config_.net_seed);
   }
 
   if (app.device != &home_.device()) {
@@ -1689,8 +1610,7 @@ Result<MigrationReport> MigrationManager::Migrate(const RunningApp& app,
 
   // The home copy is gone; its processes and tracking state are torn down.
   home_.Unmanage(app.pid);
-  for (const Pid pid :
-       app.all_pids.empty() ? std::vector<Pid>{app.pid} : app.all_pids) {
+  for (const Pid pid : AppPids(app)) {
     FLUX_RETURN_IF_ERROR(home_.device().KillAppProcess(pid));
   }
 

@@ -36,20 +36,16 @@ namespace flux {
 
 class ThreadPool;
 
+// During long transfers the world keeps moving: the clock advances in
+// slices of at most kTransferTick, ticking both devices (task idlers, due
+// alarms) at each boundary.
+inline constexpr SimDuration kTransferTick = Millis(250);
+
 struct MigrationConfig {
-  // Modeled single-core throughputs for image handling (MB/s at the
-  // Snapdragon S4 Pro baseline; scaled by each device's cpu_factor).
-  double serialize_mbps = 120.0;
-  double compress_mbps = 25.0;
-  double decompress_mbps = 25.0;
-  double restore_mbps = 35.0;
-  // Fixed preparation work beyond the task-idler wait (trim + eglUnload).
-  SimDuration prepare_fixed = Millis(140);
-  // Reintegration fixed work (foreground, surface + first frame).
-  SimDuration reintegrate_fixed = Millis(160);
-  // Ablations.
+  // Fig. 12 ablation, serial path only: ship the CRIA image uncompressed.
+  // The chunk stream (pipelined and every mode built on it) always
+  // compresses.
   bool compress_image = true;
-  bool wait_for_task_idler = true;
   // Extension beyond the paper's prototype (§3.4 future work): migrate
   // multi-process apps by checkpointing the whole process tree.
   bool enable_multiprocess = false;
@@ -62,16 +58,14 @@ struct MigrationConfig {
   // on (the adaptively chosen working set).
   double post_copy_priority_fraction = 0.25;
   // Extension (the §4 overlap, taken further): chunked, pipelined
-  // migration. The CRIA image is split into `pipeline_chunk_bytes` chunks;
+  // migration. The CRIA image is split into kChunkCacheChunkBytes chunks;
   // serialize → compress (home) → wire → decompress → restore-apply
   // (guest) overlap per chunk, and chunk compression fans out over
-  // `compress_threads` device cores (and, for real wall-clock wins, host
+  // kCompressCores device cores (and, for real wall-clock wins, host
   // threads). Off by default so the paper-baseline figures are unchanged.
   bool pipelined = false;
-  uint64_t pipeline_chunk_bytes = 256 * 1024;
-  int compress_threads = 4;
   // Worker pool for chunk compression. Null (the default) uses the lazily
-  // created process-shared pool of width `compress_threads`
+  // created process-shared pool of width kCompressCores
   // (ThreadPool::Shared); tests and embedders may inject their own. The
   // pool must outlive the manager.
   ThreadPool* compress_pool = nullptr;
@@ -96,9 +90,6 @@ struct MigrationConfig {
   // Bandwidth-aware termination: freeze once the estimated stop-and-copy
   // of the remaining dirty delta drops below this.
   SimDuration precopy_stop_copy_target = Millis(250);
-  // A round must shrink the dirty set to at most this fraction of the
-  // previous round's, or pre-copy declares non-convergence.
-  double precopy_min_round_shrink = 0.85;
   // Test hook: runs once, right after the final stop-and-copy cut (models
   // a write racing the freeze; exercises the re-cut path that keeps such
   // writes from being silently dropped).
@@ -113,10 +104,10 @@ struct MigrationConfig {
   // Decorrelates the per-migration loss/jitter draws and the recurring
   // outage phase across sweep points (XORed into the app-derived seed).
   uint64_t net_seed = 0;
-  // Frame-stream shape when a profile is active (PROTOCOL.md §5).
+  // Frame-stream shape when a profile is active (PROTOCOL.md §5); FEC
+  // groups keep FrameStreamOptions' default of 8 data frames per parity.
   bool fec = true;
   uint32_t frame_payload_bytes = 16 * 1024;
-  uint32_t fec_group_data_frames = 8;
   // Extension (DESIGN.md §13): chunk-resumable transfers. An interrupted
   // migration waits out a recoverable outage, re-offers the chunk manifest
   // (PROTOCOL.md §8), the guest acks what its cache already holds, and only
@@ -124,14 +115,8 @@ struct MigrationConfig {
   // constructor forces both on). Off by default: interruption still aborts
   // to rollback, and every baseline figure stays bit-for-bit unchanged.
   bool resume = false;
-  // Give up after this many resume handshakes (forensics, then rollback).
-  int resume_max_attempts = 8;
   // An outage longer than this is treated as unrecoverable.
   SimDuration resume_wait_max = Seconds(30);
-  // During long transfers the world keeps moving: the clock advances in
-  // slices of at most `transfer_tick`, ticking both devices (task idlers,
-  // due alarms) at each boundary.
-  SimDuration transfer_tick = Millis(250);
   // Fault injection for tests: mutates the payload after checkpoint,
   // before transfer (models wire corruption; exercises restore rollback).
   std::function<void(Bytes&)> payload_fault;
@@ -380,7 +365,7 @@ class MigrationManager {
                                                  ReplayAuditJournal journal,
                                                  const MigrationReport& report);
 
-  // Advances the shared clock to `target` in transfer_tick slices, ticking
+  // Advances the shared clock to `target` in kTransferTick slices, ticking
   // both devices at each boundary so their timers observe time passing.
   // With `watch` set, stops early and returns false if the network is down
   // at a slice boundary; returns true once `target` is reached.
@@ -397,9 +382,15 @@ class MigrationManager {
   // no simulated time involved).
   ThreadPool* CompressionPool();
 
+  // Wire bytes that `bytes` of payload cost on the air: framed under a
+  // non-clean profile (PROTOCOL.md §5), unchanged on the clean one.
+  uint64_t Charged(uint64_t bytes) const;
+
   FluxAgent& home_;
   FluxAgent& guest_;
   MigrationConfig config_;
+  // Frame-stream shape under a non-clean profile, built once from config_.
+  FrameStreamOptions frames_;
   // The active migration's causal context: adopted or minted at Migrate()
   // entry, cleared (with both recorders' and the tracer's ambient context)
   // on every exit path.

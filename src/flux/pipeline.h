@@ -19,6 +19,23 @@
 
 namespace flux {
 
+// ----- the stage-cost model -----
+//
+// Modeled single-core stage throughputs (MB/s at the Snapdragon S4 Pro
+// baseline, cpu_factor 1.0) and fixed per-migration costs, shared by the
+// MigrationManager and the fleet MigrationCoordinator. Known divergence,
+// kept so both sets of goldens stay byte-identical: the manager's CpuCost
+// reads "MB" as MiB (2^20 bytes), the coordinator's as 10^6 bytes
+// (DESIGN.md §11). Unifying them is a deliberate re-baseline.
+inline constexpr double kSerializeMbps = 120.0;
+inline constexpr double kCompressMbps = 25.0;
+inline constexpr double kDecompressMbps = 25.0;
+inline constexpr double kRestoreMbps = 35.0;
+// Preparation work beyond the task-idler wait (trim + eglUnload).
+inline constexpr SimDuration kPrepareFixed = Millis(140);
+// Reintegration work (foreground, surface + first frame).
+inline constexpr SimDuration kReintegrateFixed = Millis(160);
+
 struct PipelineStageTiming {
   std::string name;
   SimDuration busy = 0;          // sum of chunk costs in this stage
@@ -52,7 +69,7 @@ PipelinePlan SchedulePipeline(const std::vector<PipelineStageModel>& stages);
 struct PipelineStats {
   bool enabled = false;
   uint32_t chunk_count = 0;
-  uint64_t chunk_bytes = 0;               // configured raw chunk size
+  uint64_t chunk_bytes = 0;               // raw chunk size
   std::vector<uint64_t> chunk_wire_bytes; // container bytes per chunk
   SimDuration makespan = 0;               // overlapped image-path time
   SimDuration serial_estimate = 0;        // same work staged strictly serially

@@ -10,6 +10,7 @@
 // at chunk granularity.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -194,6 +195,39 @@ TEST(ResumeTest, OutageOutlastingWaitBudgetRollsBackCleanly) {
             std::string::npos)
       << hop.status().ToString();
   EXPECT_NE(tw.a->kernel().FindProcess(tw.running.pid), nullptr);
+}
+
+// The serial path does not run the frame codec: under a lossy profile it
+// charges framing overhead plus expected-loss retransmissions as mean-field
+// arithmetic over the clean run's wire bytes (DESIGN.md §13).
+TEST(ResumeTest, SerialPathOnLossyLinkChargesMeanFieldFraming) {
+  uint64_t clean_total = 0;
+  {
+    ResumeWorld base;
+    base.Boot(kApp);
+    auto hop = base.Hop(MigrationConfig{});
+    ASSERT_TRUE(hop.ok() && hop->success);
+    EXPECT_FALSE(hop->frame_wire.enabled);
+    clean_total = hop->total_wire_bytes;
+  }
+
+  MigrationConfig config;
+  config.net_profile = NetProfile::Named("campus").value();
+  ResumeWorld tw;
+  tw.Boot(kApp);
+  auto hop = tw.Hop(config);
+  ASSERT_TRUE(hop.ok() && hop->success);
+  EXPECT_FALSE(hop->pipeline.enabled);
+  EXPECT_TRUE(hop->frame_wire.enabled);
+  FrameStreamOptions opts;
+  opts.frame_payload_bytes = config.frame_payload_bytes;
+  opts.fec = config.fec;
+  const uint64_t expected = static_cast<uint64_t>(
+      std::ceil(static_cast<double>(FramedWireBytes(clean_total, opts)) /
+                (1.0 - config.net_profile.MeanLossRate())));
+  EXPECT_GT(expected, clean_total);
+  EXPECT_EQ(hop->total_wire_bytes, expected);
+  EXPECT_EQ(hop->frame_wire.wire_bytes, expected);
 }
 
 TEST(ResumeTest, LossyLinkWithFecRecoversWithoutRetransmitStorm) {
