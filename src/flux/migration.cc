@@ -20,12 +20,19 @@ constexpr uint32_t kPayloadMagic = 0x464C5558;  // "FLUX"
 // Device cores the chunk stream's compress stage fans out over (and the
 // width of the shared host compression pool).
 constexpr int kCompressCores = 4;
+// Pre-copy round budget before it gives up on convergence (forensics).
+constexpr int kPrecopyMaxRounds = 8;
+// Bandwidth-aware termination: pre-copy freezes once the estimated
+// stop-and-copy of the pending chunks drops below this.
+constexpr SimDuration kPrecopyStopCopyTarget = Millis(250);
 // A pre-copy round must shrink the pending set to at most this fraction of
 // the previous round's, or pre-copy declares non-convergence.
 constexpr double kPrecopyMinRoundShrink = 0.85;
 // Resume handshakes a migration may run before it gives up (forensics,
 // then rollback).
 constexpr int kResumeMaxAttempts = 8;
+// An outage longer than this is treated as unrecoverable.
+constexpr SimDuration kResumeWaitMax = Seconds(30);
 
 // Wire bytes of the chunk-manifest handshake: the dedup manifest exchange
 // (PROTOCOL.md §7) and the resume offer/ack (§8) share one shape. The home
@@ -107,6 +114,29 @@ std::vector<PipelineStageModel> ChunkStageCosts(
     }
   }
   return stages;
+}
+
+// Chunk `i` of `image` at the chunk cache's granularity.
+ByteSpan ChunkAt(ByteSpan image, size_t i) {
+  const uint64_t begin = uint64_t{i} * kChunkCacheChunkBytes;
+  return ByteSpan(image.data() + begin,
+                  std::min<uint64_t>(kChunkCacheChunkBytes,
+                                     image.size() - begin));
+}
+
+// Which chunks of `image` the guest cache already holds: every chunk
+// hashed, then one HasValid probe per chunk in index order (so the cache
+// counters move exactly once per chunk). Serves the stop-and-copy's dedup
+// pass and every pre-copy round; ref_chunks[i] != 0 marks a held chunk.
+LzChunkDedupPlan PlanChunks(ByteSpan image, ChunkCache& guest_cache) {
+  LzChunkDedupPlan plan;
+  plan.hashes =
+      LzChunkHashes(image, static_cast<uint32_t>(kChunkCacheChunkBytes));
+  plan.ref_chunks.reserve(plan.hashes.size());
+  for (const Hash128& hash : plan.hashes) {
+    plan.ref_chunks.push_back(guest_cache.HasValid(hash) ? 1 : 0);
+  }
+  return plan;
 }
 
 // Seed for per-app deterministic draws: the package name hashed with a
@@ -260,13 +290,15 @@ MigrationManager::MigrationManager(FluxAgent& home, FluxAgent& guest,
                                    MigrationConfig config)
     : home_(home), guest_(guest), config_(config) {
   if (config_.precopy || config_.resume) {
-    // Both ride on the chunk stream and the content-addressed cache:
-    // pre-copy rounds warm the guest cache so the stop-and-copy ships refs,
-    // and a resume acks against the chunk manifest.
-    config_.pipelined = true;
+    // Both ride on the content-addressed cache: pre-copy rounds warm the
+    // guest cache so the stop-and-copy ships refs, and a resume acks
+    // against the chunk manifest.
     config_.chunk_dedup = true;
   }
-  frames_.frame_payload_bytes = config_.frame_payload_bytes;
+  if (config_.chunk_dedup) {
+    // The manifest handshake and ref chunks exist only on the chunk stream.
+    config_.pipelined = true;
+  }
   frames_.fec = config_.fec;
 }
 
@@ -315,8 +347,8 @@ Status MigrationManager::Prepare(const RunningApp& app,
   return OkStatus();
 }
 
-Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
-                                             MigrationReport& report) {
+Result<MigrationManager::BuiltPayload> MigrationManager::BuildPayload(
+    const RunningApp& app, MigrationReport& report) {
   Device& device = *app.device;
   ScopedTimer timer(device.clock(), report.checkpoint);
 
@@ -368,47 +400,38 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
     PipelineStats& stats = report.pipeline;
     stats.enabled = true;
     stats.chunk_bytes = kChunkCacheChunkBytes;
-    const uint32_t chunk_size = static_cast<uint32_t>(stats.chunk_bytes);
     const ByteSpan image_span(cria.image.data(), cria.image.size());
     LzChunkDedupPlan plan;
     if (config_.chunk_dedup) {
-      // Content-addressed delta transfer: hash every raw chunk, ask the
-      // guest's cache which ones it already holds (the manifest bytes and
-      // round trip are charged to the wire in TransferPipelined), and
-      // ship hits as 16-byte refs. Every chunk also lands in the home
-      // cache so the return hop can dedup against this checkpoint.
+      // Content-addressed delta transfer: ask the guest's cache which
+      // chunks it already holds (the manifest bytes and round trip are
+      // charged to the wire in TransferPipelined), and ship hits as
+      // 16-byte refs. Every chunk also lands in the home cache so the
+      // return hop can dedup against this checkpoint.
+      plan = PlanChunks(image_span, guest_.chunk_cache());
+      plan.stored_fallback = true;
       DedupStats& dedup = report.dedup;
       dedup.enabled = true;
-      plan.stored_fallback = true;
-      plan.hashes = LzChunkHashes(image_span, chunk_size);
-      plan.ref_chunks.assign(plan.hashes.size(), 0);
-      // The resume handshake re-offers exactly this manifest.
-      payload_chunk_hashes_ = plan.hashes;
-      if (config_.resume) {
-        // Chunk-granular delivery needs the raw chunks at transfer time:
-        // the guest caches each as its wire window closes.
-        resume_raw_image_.assign(image_span.begin(), image_span.end());
-      }
       dedup.chunk_count = static_cast<uint32_t>(plan.hashes.size());
       dedup.manifest_wire_bytes =
           ManifestHandshake(plan.hashes.size(), /*framed=*/false).total();
-      ChunkCache& guest_cache = guest_.chunk_cache();
-      ChunkCache& home_cache = home_.chunk_cache();
       for (size_t i = 0; i < plan.hashes.size(); ++i) {
-        const uint64_t begin = uint64_t{i} * stats.chunk_bytes;
-        const uint64_t len = std::min<uint64_t>(stats.chunk_bytes,
-                                                image_span.size() - begin);
-        const ByteSpan chunk(image_span.data() + begin, len);
-        if (guest_cache.HasValid(plan.hashes[i])) {
-          plan.ref_chunks[i] = 1;
+        const ByteSpan chunk = ChunkAt(image_span, i);
+        if (plan.ref_chunks[i] != 0) {
           ++dedup.ref_chunks;
-          dedup.ref_raw_bytes += len;
+          dedup.ref_raw_bytes += chunk.size();
         }
-        home_cache.Insert(plan.hashes[i], chunk);
+        home_.chunk_cache().Insert(plan.hashes[i], chunk);
       }
     }
     LzChunkStreams streams = LzCompressChunkStreamsDeduped(
-        image_span, chunk_size, CompressionPool(), plan);
+        image_span, static_cast<uint32_t>(stats.chunk_bytes),
+        CompressionPool(), plan);
+    BuiltPayload built;
+    if (config_.resume) {
+      // Chunk-granular delivery needs the raw chunks at transfer time.
+      built.raw_image = std::move(cria.image);
+    }
     Bytes().swap(cria.image);  // the streams carry the content now
     stats.chunk_count = static_cast<uint32_t>(streams.chunks.size());
     stats.chunk_kind = streams.kinds;
@@ -431,7 +454,9 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
         streams, [&payload](ByteSpan part) { payload.AppendRaw(part); },
         /*release_chunks=*/true);
     payload.EndBytes(token);
-    return payload.TakeData();
+    built.bytes = payload.TakeData();
+    built.manifest = std::move(plan.hashes);
+    return built;
   }
 
   if (config_.compress_image) {
@@ -455,224 +480,24 @@ Result<Bytes> MigrationManager::BuildPayload(const RunningApp& app,
     report.image_compressed_bytes = report.image_raw_bytes;
     Bytes().swap(cria.image);
   }
-  return payload.TakeData();
+  return BuiltPayload{payload.TakeData(), {}, {}};
 }
 
-Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
-                                                    const AppSpec& spec,
-                                                    MigrationReport& report) {
+Result<MigrationManager::BuiltPayload> MigrationManager::BuildPayloadPrecopy(
+    const RunningApp& app, const AppSpec& spec, MigrationReport& report) {
   Device& device = *app.device;
-  Device& guest_device = guest_.device();
-  SimClock& clock = device.clock();
-  WifiNetwork& wifi = device.wifi();
-  FlightRecorder* home_rec = &device.flight_recorder();
   PrecopyStats& pre = report.precopy;
   pre.enabled = true;
-  pre.window.begin = clock.now();
-
+  pre.window.begin = device.clock().now();
   const std::vector<Pid> pids = AppPids(app);
-
-  // The app is prepared (backgrounded, trimmed, GL-free) but its processes
-  // keep running until the freeze: this write load dirties the heap at the
-  // workload's rate from every AdvanceWithTicks slice below.
-  PrecopyWriteLoad load(device, pids, spec);
-  precopy_mutator_ = [&load](SimDuration elapsed) { load.Apply(elapsed); };
-
-  const uint32_t chunk_size = static_cast<uint32_t>(kChunkCacheChunkBytes);
-  const EffectiveLink link = wifi.LinkBetween(device.profile().radio,
-                                              guest_device.profile().radio);
-  ChunkCache& guest_cache = guest_.chunk_cache();
-  ChunkCache& home_cache = home_.chunk_cache();
-
-  Bytes current;             // the image as of the latest cut
-  uint64_t epoch = 0;        // dirty epoch opened at that cut
-  uint64_t pending_prev = 0; // pending raw bytes at the previous cut
-  bool converged = false;
-  std::string stop_reason;
-
-  for (int round = 0; round < config_.precopy_max_rounds; ++round) {
-    PrecopyRound r;
-    r.index = round;
-    r.interval.begin = clock.now();
-    const SimTime t0 = clock.now();
-
-    // Cut: a full checkpoint on round 0, a dirty-segment delta applied to
-    // the running image after — falling back to a full cut if the address
-    // space changed shape since the base cut.
-    const uint64_t prev_epoch = epoch;
-    epoch = Cria::BeginDirtyEpoch(device, pids);
-    bool full_cut = round == 0;
-    if (!full_cut) {
-      FLUX_ASSIGN_OR_RETURN(
-          CriaIncrementalResult delta,
-          Cria::CheckpointIncremental(device, pids, prev_epoch,
-                                      config_.trace));
-      auto patched = Cria::ApplyIncremental(
-          ByteSpan(current.data(), current.size()),
-          ByteSpan(delta.delta.data(), delta.delta.size()));
-      if (patched.ok()) {
-        current = patched.TakeValue();
-      } else if (patched.status().code() == StatusCode::kUnsupported) {
-        full_cut = true;
-      } else {
-        return patched.status();
-      }
-    }
-    if (full_cut) {
-      FLUX_ASSIGN_OR_RETURN(
-          CriaCheckpointResult full,
-          Cria::CheckpointTree(device, pids, *app.thread, config_.trace));
-      current = std::move(full.image);
-    }
-
-    // Plan: which chunks of this cut the guest cache is missing, and what
-    // they would cost. Dirty tracking is segment-granular, but the wire
-    // works in content-addressed chunks — a re-written page only re-ships
-    // its chunk if the bytes actually changed, so the pending set (not
-    // DirtyBytesSince) is what termination must reason about.
-    const ByteSpan image_span(current.data(), current.size());
-    const std::vector<Hash128> hashes = LzChunkHashes(image_span, chunk_size);
-    r.chunk_count = static_cast<uint32_t>(hashes.size());
-    struct Planned {
-      size_t index;
-      uint64_t begin;
-      uint64_t len;
-      uint64_t wire;
-    };
-    std::vector<Planned> plan_chunks;
-    for (size_t i = 0; i < hashes.size(); ++i) {
-      const uint64_t begin = uint64_t{i} * chunk_size;
-      const uint64_t len =
-          std::min<uint64_t>(chunk_size, image_span.size() - begin);
-      if (guest_cache.HasValid(hashes[i])) {
-        continue;
-      }
-      // Compress for the wire, with the dedup container's stored fallback
-      // for incompressible chunks.
-      const ByteSpan chunk(image_span.data() + begin, len);
-      const uint64_t packed = LzCompress(chunk).size();
-      plan_chunks.push_back({i, begin, len, std::min(packed, len)});
-      r.pending_raw_bytes += len;
-    }
-    r.pending_chunks = static_cast<uint32_t>(plan_chunks.size());
-    pre.dirty_bytes += r.pending_raw_bytes;
-
-    // Bandwidth-aware termination: what would freezing at this cut cost?
-    // The pending chunks pay the full serialize → wire → restore path in
-    // the stop-and-copy; everything else rides the cache as refs. Under a
-    // hostile profile round traffic is charged framed (arithmetic; the
-    // per-frame codec runs only in the stop-and-copy).
-    uint64_t pending_wire = 0;
-    for (const Planned& p : plan_chunks) {
-      pending_wire += Charged(p.wire);
-    }
-    r.est_stop_copy =
-        CpuCost(device, r.pending_raw_bytes, kSerializeMbps) +
-        wifi.TransferTime(pending_wire, link) +
-        CpuCost(guest_device, r.pending_raw_bytes, kRestoreMbps);
-    FLUX_EVENT(home_rec, flight_events::kSubMigration,
-               flight_events::kMigrationPrecopyRound, EventSeverity::kInfo,
-               static_cast<uint64_t>(round), r.pending_raw_bytes);
-    if (r.est_stop_copy <= config_.precopy_stop_copy_target) {
-      // Freeze here: this cut is a probe, nothing streams, the pending
-      // chunks ship in the stop-and-copy itself.
-      converged = true;
-      r.interval.end = clock.now();
-      pre.rounds.push_back(r);
-      break;
-    }
-    if (round > 0 && pending_prev > 0 &&
-        static_cast<double>(r.pending_raw_bytes) >
-            kPrecopyMinRoundShrink * static_cast<double>(pending_prev)) {
-      stop_reason = StrFormat(
-          "pending set stopped shrinking (%llu -> %llu bytes in round %d)",
-          static_cast<unsigned long long>(pending_prev),
-          static_cast<unsigned long long>(r.pending_raw_bytes), round);
-      r.interval.end = clock.now();
-      pre.rounds.push_back(r);
-      break;
-    }
-    pending_prev = r.pending_raw_bytes;
-
-    // Stream the missing chunks, warming both caches for the final
-    // stop-and-copy's dedup pass. Round 0 streams the whole image; later
-    // rounds only the chunks the writes actually changed.
-    std::vector<ChunkWork> work;
-    work.reserve(plan_chunks.size());
-    for (const Planned& p : plan_chunks) {
-      const ByteSpan chunk(image_span.data() + p.begin, p.len);
-      home_cache.Insert(hashes[p.index], chunk);
-      if (!config_.resume) {
-        // Resume mode defers the guest insert to each chunk's wire finish
-        // below — chunk-granular delivery is what a mid-round outage
-        // resumes against.
-        guest_cache.Insert(hashes[p.index], chunk);
-      }
-      r.raw_bytes_sent += p.len;
-      r.wire_bytes += Charged(p.wire);
-      work.push_back({.raw = p.len,
-                      .wire = Charged(p.wire),
-                      .kind = p.wire < p.len ? LzChunkKind::kLz
-                                             : LzChunkKind::kStored});
-    }
-    r.chunks_sent = static_cast<uint32_t>(plan_chunks.size());
-
-    // Pace the simulated clock along a serialize → compress → wire →
-    // decompress schedule (no restore stage: the guest only caches). The
-    // app keeps mutating while this advances — that is the race pre-copy
-    // iterates against.
-    {
-      const PipelinePlan plan = SchedulePipeline(ChunkStageCosts(
-          work, device, guest_device, wifi, link, /*restore_stage=*/false));
-      if (!config_.resume) {
-        if (!AdvanceWithTicks(t0 + plan.makespan, &wifi)) {
-          precopy_mutator_ = nullptr;
-          return Unavailable("network lost during pre-copy round");
-        }
-      } else {
-        // Chunk-granular round pacing: advance to each chunk's wire-stage
-        // finish, deliver it into the guest cache, and ride out outages
-        // with the resume handshake — the round continues where it stopped
-        // instead of aborting the migration (PR 6 follow-up).
-        constexpr size_t kWireStage = 2;
-        SimDuration round_extra = 0;
-        for (size_t i = 0; i < plan_chunks.size(); ++i) {
-          const Planned& p = plan_chunks[i];
-          while (!AdvanceWithTicks(
-              t0 + plan.finish[kWireStage][i] + round_extra, &wifi)) {
-            auto resumed =
-                ResumeAfterOutage(wifi, link, hashes, Charged(p.wire),
-                                  "network lost during pre-copy round",
-                                  report);
-            if (!resumed.ok()) {
-              precopy_mutator_ = nullptr;
-              return resumed.status();
-            }
-            round_extra += resumed.value().extra;
-            r.wire_bytes += resumed.value().wire_bytes;
-          }
-          guest_cache.Insert(hashes[p.index],
-                             ByteSpan(image_span.data() + p.begin, p.len));
-        }
-        AdvanceWithTicks(t0 + plan.makespan + round_extra);
-      }
-      wifi.AccountTraffic(r.wire_bytes);
-      pre.wire_bytes += r.wire_bytes;
-    }
-    r.interval.end = clock.now();
-    pre.rounds.push_back(r);
-  }
+  FLUX_ASSIGN_OR_RETURN(const std::string stop_reason,
+                        RunPrecopyRounds(app, spec, pids, report));
 
   // Freeze: the app stops mutating; everything after this is the
   // stop-and-copy the user can perceive.
-  precopy_mutator_ = nullptr;
-  pre.converged = converged;
-  pre.window.end = clock.now();
-  if (!converged) {
-    if (stop_reason.empty()) {
-      stop_reason = StrFormat("round budget (%d) exhausted",
-                              config_.precopy_max_rounds);
-    }
+  pre.converged = stop_reason.empty();
+  pre.window.end = device.clock().now();
+  if (!pre.converged) {
     // Not fatal — the stop-and-copy still runs, just longer than the
     // target — but it is a policy failure worth evidence: freeze both
     // flight-recorder rings and the counters for post-hoc analysis.
@@ -689,7 +514,7 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
   // one): if anything dirtied after the cut, the image is stale — re-cut
   // instead of silently dropping the bytes. The mutator is off, so the
   // loop terminates as soon as the racing writer goes quiet.
-  Bytes payload;
+  BuiltPayload payload;
   for (int cut = 0;; ++cut) {
     const uint64_t final_epoch = Cria::BeginDirtyEpoch(device, pids);
     report.pipeline = PipelineStats{};
@@ -726,6 +551,187 @@ Result<Bytes> MigrationManager::BuildPayloadPrecopy(const RunningApp& app,
   }
   FLUX_TRACE_COUNT(config_.trace, trace_names::kPrecopyChunksResent, resent);
   return payload;
+}
+
+Result<std::string> MigrationManager::RunPrecopyRounds(
+    const RunningApp& app, const AppSpec& spec, const std::vector<Pid>& pids,
+    MigrationReport& report) {
+  Device& device = *app.device;
+  Device& guest_device = guest_.device();
+  SimClock& clock = device.clock();
+  WifiNetwork& wifi = device.wifi();
+  PrecopyStats& pre = report.precopy;
+
+  // The app is prepared (backgrounded, trimmed, GL-free) but its processes
+  // keep running until the freeze: this write load dirties the heap at the
+  // workload's rate from every AdvanceWithTicks slice, until this function
+  // returns by any path.
+  PrecopyWriteLoad load(device, pids, spec);
+  precopy_mutator_ = [&load](SimDuration elapsed) { load.Apply(elapsed); };
+  struct MutatorReset {
+    MigrationManager* manager;
+    ~MutatorReset() { manager->precopy_mutator_ = nullptr; }
+  } mutator_reset{this};
+
+  const EffectiveLink link = wifi.LinkBetween(device.profile().radio,
+                                              guest_device.profile().radio);
+  ChunkCache& guest_cache = guest_.chunk_cache();
+  ChunkCache& home_cache = home_.chunk_cache();
+
+  Bytes current;             // the image as of the latest cut
+  uint64_t epoch = 0;        // dirty epoch opened at that cut
+  uint64_t pending_prev = 0; // pending raw bytes at the previous cut
+
+  for (int round = 0; round < kPrecopyMaxRounds; ++round) {
+    PrecopyRound r;
+    r.index = round;
+    r.interval.begin = clock.now();
+    const SimTime t0 = clock.now();
+    auto end_round = [&] {
+      r.interval.end = clock.now();
+      pre.rounds.push_back(r);
+    };
+
+    // Cut: a full checkpoint on round 0, a dirty-segment delta applied to
+    // the running image after — falling back to a full cut if the address
+    // space changed shape since the base cut.
+    const uint64_t prev_epoch = epoch;
+    epoch = Cria::BeginDirtyEpoch(device, pids);
+    bool full_cut = round == 0;
+    if (!full_cut) {
+      FLUX_ASSIGN_OR_RETURN(
+          CriaIncrementalResult delta,
+          Cria::CheckpointIncremental(device, pids, prev_epoch,
+                                      config_.trace));
+      auto patched = Cria::ApplyIncremental(
+          ByteSpan(current.data(), current.size()),
+          ByteSpan(delta.delta.data(), delta.delta.size()));
+      if (patched.ok()) {
+        current = patched.TakeValue();
+      } else if (patched.status().code() == StatusCode::kUnsupported) {
+        full_cut = true;
+      } else {
+        return patched.status();
+      }
+    }
+    if (full_cut) {
+      FLUX_ASSIGN_OR_RETURN(
+          CriaCheckpointResult full,
+          Cria::CheckpointTree(device, pids, *app.thread, config_.trace));
+      current = std::move(full.image);
+    }
+
+    // Plan: which chunks of this cut the guest cache is missing, and what
+    // they would cost. Dirty tracking is segment-granular, but the wire
+    // works in content-addressed chunks — a re-written page only re-ships
+    // its chunk if the bytes actually changed, so the pending set (not
+    // DirtyBytesSince) is what termination must reason about.
+    const ByteSpan image_span(current.data(), current.size());
+    const LzChunkDedupPlan plan = PlanChunks(image_span, guest_cache);
+    r.chunk_count = static_cast<uint32_t>(plan.hashes.size());
+    // Each missing chunk's index and wire size: compressed, with the dedup
+    // container's stored fallback for incompressible chunks.
+    std::vector<std::pair<size_t, uint64_t>> missing;
+    for (size_t i = 0; i < plan.hashes.size(); ++i) {
+      if (plan.ref_chunks[i] == 0) {
+        const ByteSpan chunk = ChunkAt(image_span, i);
+        missing.emplace_back(
+            i, std::min<uint64_t>(LzCompress(chunk).size(), chunk.size()));
+        r.pending_raw_bytes += chunk.size();
+      }
+    }
+    r.pending_chunks = static_cast<uint32_t>(missing.size());
+    pre.dirty_bytes += r.pending_raw_bytes;
+
+    // Bandwidth-aware termination: what would freezing at this cut cost?
+    // The pending chunks pay the full serialize → wire → restore path in
+    // the stop-and-copy; everything else rides the cache as refs. Under a
+    // hostile profile round traffic is charged framed (arithmetic; the
+    // per-frame codec runs only in the stop-and-copy).
+    uint64_t pending_wire = 0;
+    for (const auto& [index, wire] : missing) {
+      pending_wire += Charged(wire);
+    }
+    r.est_stop_copy =
+        CpuCost(device, r.pending_raw_bytes, kSerializeMbps) +
+        wifi.TransferTime(pending_wire, link) +
+        CpuCost(guest_device, r.pending_raw_bytes, kRestoreMbps);
+    FLUX_EVENT(&device.flight_recorder(), flight_events::kSubMigration,
+               flight_events::kMigrationPrecopyRound, EventSeverity::kInfo,
+               static_cast<uint64_t>(round), r.pending_raw_bytes);
+    if (r.est_stop_copy <= kPrecopyStopCopyTarget) {
+      // Freeze here: this cut is a probe, nothing streams, the pending
+      // chunks ship in the stop-and-copy itself.
+      end_round();
+      return std::string();
+    }
+    if (round > 0 && pending_prev > 0 &&
+        static_cast<double>(r.pending_raw_bytes) >
+            kPrecopyMinRoundShrink * static_cast<double>(pending_prev)) {
+      end_round();
+      return StrFormat(
+          "pending set stopped shrinking (%llu -> %llu bytes in round %d)",
+          static_cast<unsigned long long>(pending_prev),
+          static_cast<unsigned long long>(r.pending_raw_bytes), round);
+    }
+    pending_prev = r.pending_raw_bytes;
+
+    // Stream the missing chunks, warming both caches for the final
+    // stop-and-copy's dedup pass. Round 0 streams the whole image; later
+    // rounds only the chunks the writes actually changed.
+    std::vector<ChunkWork> work;
+    work.reserve(missing.size());
+    for (const auto& [index, wire] : missing) {
+      const ByteSpan chunk = ChunkAt(image_span, index);
+      home_cache.Insert(plan.hashes[index], chunk);
+      if (!config_.resume) {
+        // Resume mode defers the guest insert to each chunk's wire finish
+        // below — chunk-granular delivery is what a mid-round outage
+        // resumes against.
+        guest_cache.Insert(plan.hashes[index], chunk);
+      }
+      r.raw_bytes_sent += chunk.size();
+      r.wire_bytes += Charged(wire);
+      work.push_back({.raw = chunk.size(),
+                      .wire = Charged(wire),
+                      .kind = wire < chunk.size() ? LzChunkKind::kLz
+                                                  : LzChunkKind::kStored});
+    }
+    r.chunks_sent = static_cast<uint32_t>(missing.size());
+
+    // Pace the simulated clock along a serialize → compress → wire →
+    // decompress schedule (no restore stage: the guest only caches). The
+    // app keeps mutating while this advances — that is the race pre-copy
+    // iterates against.
+    const PipelinePlan schedule = SchedulePipeline(ChunkStageCosts(
+        work, device, guest_device, wifi, link, /*restore_stage=*/false));
+    if (!config_.resume) {
+      if (!AdvanceWithTicks(t0 + schedule.makespan, &wifi)) {
+        return Unavailable("network lost during pre-copy round");
+      }
+    } else {
+      // Chunk-granular round pacing: advance to each chunk's wire-stage
+      // finish, deliver it into the guest cache, and ride out outages
+      // with the resume handshake — the round continues where it stopped
+      // instead of aborting the migration.
+      constexpr size_t kWireStage = 2;
+      ChunkStream stream{wifi, link, plan.hashes,
+                         "network lost during pre-copy round"};
+      for (size_t k = 0; k < missing.size(); ++k) {
+        const auto& [index, wire] = missing[k];
+        FLUX_RETURN_IF_ERROR(AdvanceStream(
+            stream, t0 + schedule.finish[kWireStage][k], Charged(wire),
+            report));
+        guest_cache.Insert(plan.hashes[index], ChunkAt(image_span, index));
+      }
+      r.wire_bytes += stream.extra_wire;
+      AdvanceWithTicks(t0 + schedule.makespan + stream.extra);
+    }
+    wifi.AccountTraffic(r.wire_bytes, link);
+    pre.wire_bytes += r.wire_bytes;
+    end_round();
+  }
+  return StrFormat("round budget (%d) exhausted", kPrecopyMaxRounds);
 }
 
 Result<AppDataSync> MigrationManager::SyncAppData(const RunningApp& app,
@@ -770,6 +776,7 @@ bool MigrationManager::AdvanceWithTicks(SimTime target, WifiNetwork* watch) {
     const SimDuration step =
         std::min<SimDuration>(kTransferTick, target - clock.now());
     clock.Advance(step);
+    home_device.wifi().CountTick(step);
     if (precopy_mutator_) {
       // Pre-copy rounds only: the app is still running at home and keeps
       // dirtying its heap while chunks stream.
@@ -786,11 +793,22 @@ bool MigrationManager::AdvanceWithTicks(SimTime target, WifiNetwork* watch) {
   return watch == nullptr || watch->UpAt(clock.now());
 }
 
-Result<MigrationManager::ResumeOutcome> MigrationManager::ResumeAfterOutage(
-    WifiNetwork& wifi, const EffectiveLink& link,
-    const std::vector<Hash128>& manifest, uint64_t resend_wire,
-    const char* fail_msg, MigrationReport& report) {
+Status MigrationManager::AdvanceStream(ChunkStream& stream, SimTime target,
+                                       uint64_t resend_wire,
+                                       MigrationReport& report) {
+  while (!AdvanceWithTicks(target + stream.extra, &stream.wifi)) {
+    FLUX_RETURN_IF_ERROR(ResumeAfterOutage(stream, resend_wire, report));
+  }
+  return OkStatus();
+}
+
+Status MigrationManager::ResumeAfterOutage(ChunkStream& stream,
+                                           uint64_t resend_wire,
+                                           MigrationReport& report) {
   SimClock& clock = home_.device().clock();
+  WifiNetwork& wifi = stream.wifi;
+  const EffectiveLink& link = stream.link;
+  const char* fail_msg = stream.fail_msg;
   ResumeStats& res = report.resume;
   ++res.interruptions;
   if (!config_.resume) {
@@ -807,7 +825,7 @@ Result<MigrationManager::ResumeOutcome> MigrationManager::ResumeAfterOutage(
     return Unavailable("link lost permanently; nothing to resume to")
         .WithCause(Unavailable(fail_msg));
   }
-  if (recovery - down_at > static_cast<SimTime>(config_.resume_wait_max)) {
+  if (recovery - down_at > static_cast<SimTime>(kResumeWaitMax)) {
     return Unavailable(
                StrFormat("outage outlasts resume_wait_max (%.1f s down)",
                          ToSecondsF(static_cast<SimDuration>(recovery -
@@ -826,7 +844,8 @@ Result<MigrationManager::ResumeOutcome> MigrationManager::ResumeAfterOutage(
   // manifest out, one kResumeAck frame carrying the availability bitmap
   // back. The offer header carries the 16-byte trace-context field (§7.1),
   // so the resumed transfer re-joins the same causal trace on the guest.
-  const HandshakeBytes hs = ManifestHandshake(manifest.size(), /*framed=*/true);
+  const HandshakeBytes hs =
+      ManifestHandshake(stream.manifest.size(), /*framed=*/true);
   AdvanceWithTicks(clock.now() + wifi.TransferTime(hs.out, link) +
                    wifi.TransferTime(hs.back, link));
   res.handshake_wire_bytes += hs.total();
@@ -835,7 +854,7 @@ Result<MigrationManager::ResumeOutcome> MigrationManager::ResumeAfterOutage(
   // before the outage plus anything warm from earlier hops — never travel
   // again. Only the chunk that was in flight re-sends, in full.
   uint32_t acked = 0;
-  for (const Hash128& hash : manifest) {
+  for (const Hash128& hash : stream.manifest) {
     if (guest_.chunk_cache().HasValid(hash)) {
       ++acked;
     }
@@ -850,23 +869,23 @@ Result<MigrationManager::ResumeOutcome> MigrationManager::ResumeAfterOutage(
              flight_events::kMigrationResume, EventSeverity::kWarning,
              res.attempts, acked);
 
-  ResumeOutcome out;
-  out.wire_bytes = hs.total() + resend_wire;
-  out.extra = (stall.end - stall.begin) +
-              (resend_wire > 0
-                   ? wifi.TransferTime(resend_wire, link) - link.latency
-                   : 0);
-  return out;
+  stream.extra_wire += hs.total() + resend_wire;
+  stream.extra += (stall.end - stall.begin) +
+                  (resend_wire > 0
+                       ? wifi.TransferTime(resend_wire, link) - link.latency
+                       : 0);
+  return OkStatus();
 }
 
 Status MigrationManager::Transfer(const RunningApp& app, const AppSpec& spec,
                                   uint64_t payload_bytes,
                                   MigrationReport& report) {
   Device& home_device = *app.device;
-  Device& guest_device = guest_.device();
-  ScopedTimer timer(home_device.clock(), report.transfer);
+  SimClock& clock = home_device.clock();
+  WifiNetwork& wifi = home_device.wifi();
+  ScopedTimer timer(clock, report.transfer);
 
-  if (!home_device.wifi().UpAt(home_device.clock().now())) {
+  if (!wifi.UpAt(clock.now())) {
     return Unavailable("network unreachable during migration transfer");
   }
   FLUX_ASSIGN_OR_RETURN(AppDataSync sync, SyncAppData(app, spec, report));
@@ -885,27 +904,24 @@ Status MigrationManager::Transfer(const RunningApp& app, const AppSpec& spec,
     report.frame_wire.wire_bytes = report.total_wire_bytes;
   }
 
-  const EffectiveLink link = home_device.wifi().LinkBetween(
-      home_device.profile().radio, guest_device.profile().radio);
+  const EffectiveLink link = wifi.LinkBetween(
+      home_device.profile().radio, guest_.device().profile().radio);
   // The world keeps moving while bytes are in flight: advance in slices,
   // ticking both devices so task idlers run and due alarms fire at the
   // right simulated time.
-  const bool delivered = home_device.wifi().TransferWithTicks(
-      home_device.clock(), report.total_wire_bytes, link,
-      kTransferTick, [&home_device, &guest_device] {
-        home_device.Tick();
-        guest_device.Tick();
-      });
-  if (!delivered) {
+  if (!AdvanceWithTicks(
+          clock.now() + wifi.TransferTime(report.total_wire_bytes, link),
+          &wifi)) {
     return Unavailable("network lost mid-transfer; payload incomplete");
   }
+  wifi.AccountTraffic(report.total_wire_bytes, link);
   return OkStatus();
 }
 
-Status MigrationManager::TransferPipelined(const RunningApp& app,
-                                           const AppSpec& spec,
-                                           ByteSpan payload,
-                                           MigrationReport& report) {
+Result<SimTime> MigrationManager::TransferPipelined(
+    const RunningApp& app, const AppSpec& spec, ByteSpan payload,
+    const std::vector<Hash128>& manifest, Bytes raw_image,
+    MigrationReport& report) {
   Device& home_device = *app.device;
   Device& guest_device = guest_.device();
   SimClock& clock = home_device.clock();
@@ -932,7 +948,7 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
     // wait it out, then start the pipeline at recovery.
     SimTime recovery = 0;
     if (!config_.resume || !wifi.NextUpAt(t0, &recovery) ||
-        recovery - t0 > static_cast<SimTime>(config_.resume_wait_max)) {
+        recovery - t0 > static_cast<SimTime>(kResumeWaitMax)) {
       return Unavailable("network unreachable during migration transfer");
     }
     AdvanceWithTicks(recovery);
@@ -993,11 +1009,11 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   // The manifest handshake (hashes out, availability bitmap back) is real
   // wire traffic even though its latency mostly hides under the data sync;
   // under a profile it is two control frames (kManifest + kManifestAck).
-  const HandshakeBytes manifest =
+  const HandshakeBytes handshake =
       ManifestHandshake(report.dedup.chunk_count, shaped);
   const uint64_t foreground_wire =
       report.data_sync_bytes + Charged(prefix_payload) + container_charged -
-      report.deferred_bytes + (report.dedup.enabled ? manifest.total() : 0);
+      report.deferred_bytes + (report.dedup.enabled ? handshake.total() : 0);
 
   std::vector<PipelineStageModel> stages = ChunkStageCosts(
       work, home_device, guest_device, wifi, link, /*restore_stage=*/true);
@@ -1021,8 +1037,8 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
     // overlaps the data sync on the same link and the home-side fill of
     // chunk 0 (hashing finishes before compression begins), so it delays
     // the stream only when it outlasts both.
-    report.dedup.manifest_rtt = wifi.TransferTime(manifest.out, link) +
-                                wifi.TransferTime(manifest.back, link);
+    report.dedup.manifest_rtt = wifi.TransferTime(handshake.out, link) +
+                                wifi.TransferTime(handshake.back, link);
     const SimDuration fill0 =
         count > 0 ? stages[0].chunk_cost[0] + stages[1].chunk_cost[0] : 0;
     if (report.dedup.ref_chunks > 0 && report.dedup.manifest_rtt > fill0) {
@@ -1055,9 +1071,7 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   constexpr size_t kWire = 2;
   const SimDuration fill =
       count > 0 ? plan.stages[kCompress].first_finish : 0;
-  if (clock.now() < t0 + fill) {
-    AdvanceWithTicks(t0 + fill);
-  }
+  AdvanceWithTicks(t0 + fill);
   report.checkpoint.end = clock.now();
   report.transfer.begin = clock.now();
 
@@ -1105,23 +1119,12 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
                    report.dedup.ref_chunks);
 
   // Stream the chunks: advance to each wire-stage finish, watching for
-  // outages at every tick boundary. An outage runs the resume handshake
-  // (with resume off, ResumeAfterOutage fails it and the caller rolls
-  // back); then the in-flight bytes re-send and the rest of the schedule
-  // shifts by the stall (`extra` accumulates across chunks).
-  SimDuration extra = 0;    // hostile/resume time beyond the loss-free plan
-  uint64_t extra_wire = 0;  // retransmissions + handshakes on the air
-  auto advance_stream = [&](SimTime target, uint64_t resend_wire) -> Status {
-    while (!AdvanceWithTicks(target + extra, &wifi)) {
-      auto resumed = ResumeAfterOutage(
-          wifi, link, payload_chunk_hashes_, resend_wire,
-          "network lost mid-transfer; payload incomplete", report);
-      FLUX_RETURN_IF_ERROR(resumed.status());
-      extra += resumed.value().extra;
-      extra_wire += resumed.value().wire_bytes;
-    }
-    return OkStatus();
-  };
+  // outages at every tick boundary (AdvanceStream). With resume off an
+  // outage fails the transfer and the caller rolls back; otherwise the
+  // in-flight bytes re-send and the rest of the schedule shifts by the
+  // stall.
+  ChunkStream stream{wifi, link, manifest,
+                     "network lost mid-transfer; payload incomplete"};
   FlightRecorder* home_rec = &home_device.flight_recorder();
   FrameWireStats& fw = report.frame_wire;
   fw.enabled = fw.enabled || shaped;
@@ -1130,8 +1133,9 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
     shaper.emplace(config_.net_profile,
                    PackageSeed(app.package, 0x6672616d) ^ config_.net_seed);
   }
-  FLUX_RETURN_IF_ERROR(advance_stream(
-      t0 + stages[kWire].initial_offset + link.latency, /*resend_wire=*/0));
+  FLUX_RETURN_IF_ERROR(AdvanceStream(
+      stream, t0 + stages[kWire].initial_offset + link.latency,
+      /*resend_wire=*/0, report));
   uint64_t chunk_off = prefix_payload;
   uint32_t next_seq = 0;
   uint32_t next_group = 0;
@@ -1158,7 +1162,7 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
       fw.wire_bytes += tx.wire_bytes;
       fw.lost_bytes += tx.lost_bytes;
       fw.retransmit_bytes += tx.retransmit_bytes;
-      extra_wire += tx.retransmit_bytes;
+      stream.extra_wire += tx.retransmit_bytes;
       in_flight = tx.wire_bytes;
       // Time beyond the loss-free framed plan: retransmission rounds,
       // this chunk's jitter draw, and a rate dip stretching its window.
@@ -1173,24 +1177,23 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
             wifi.TransferTime(tx.wire_bytes, link) - link.latency;
         chunk_extra += FromSecondsF(ToSecondsF(base) * (1.0 / dip - 1.0));
       }
-      extra += chunk_extra;
+      stream.extra += chunk_extra;
     }
-    FLUX_RETURN_IF_ERROR(advance_stream(t0 + plan.finish[kWire][i], in_flight));
-    if (!resume_raw_image_.empty()) {
+    FLUX_RETURN_IF_ERROR(AdvanceStream(stream, t0 + plan.finish[kWire][i],
+                                       in_flight, report));
+    if (!raw_image.empty()) {
       // Resume mode's chunk-granular delivery: the guest caches each chunk
       // as its wire window closes, so a resume ack covers exactly the
       // delivered prefix (plus anything warm from earlier hops).
-      const uint64_t begin = uint64_t{i} * stats.chunk_bytes;
       guest_.chunk_cache().Insert(
-          payload_chunk_hashes_[i],
-          ByteSpan(resume_raw_image_.data() + begin, work[i].raw));
+          manifest[i],
+          ChunkAt(ByteSpan(raw_image.data(), raw_image.size()), i));
     }
     chunk_off += chunk_len;
   }
-  wifi.AccountTraffic(foreground_wire + extra_wire);
-  report.total_wire_bytes = foreground_wire + extra_wire;
+  report.total_wire_bytes = foreground_wire + stream.extra_wire;
+  wifi.AccountTraffic(report.total_wire_bytes, link);
   report.transfer.end = clock.now();
-  Bytes().swap(resume_raw_image_);  // the guest cache holds the chunks now
 
   if (report.frame_wire.enabled) {
     FLUX_TRACE_COUNT(config_.trace, trace_names::kNetFramesSent,
@@ -1219,13 +1222,12 @@ Status MigrationManager::TransferPipelined(const RunningApp& app,
   // The guest-side drain (decompress + restore-apply beyond the last wire
   // finish) is charged by RestoreOnGuest up to this deadline, shifted by
   // whatever the hostile path added.
-  pipeline_restore_deadline_ = t0 + plan.makespan + extra;
-  return OkStatus();
+  return t0 + plan.makespan + stream.extra;
 }
 
 Result<CriaRestoredApp> MigrationManager::RestoreOnGuest(
-    ByteSpan payload, MigrationReport& report, CallLog& log_out,
-    HardwareSnapshot& hw_out) {
+    ByteSpan payload, SimTime restore_deadline, MigrationReport& report,
+    CallLog& log_out, HardwareSnapshot& hw_out) {
   Device& guest_device = guest_.device();
   ScopedTimer timer(guest_device.clock(), report.restore);
 
@@ -1304,10 +1306,10 @@ Result<CriaRestoredApp> MigrationManager::RestoreOnGuest(
   options.jail_root = FluxAgent::PairRoot(hw_out.device_name);
   options.trace = config_.trace;
   auto restored = Cria::Restore(guest_device, image, options);
-  if (restored.ok() && config_.pipelined) {
-    // Decompress + restore-apply overlapped with the transfer; only the
-    // pipeline drain past the last wire byte lands in this interval.
-    AdvanceWithTicks(pipeline_restore_deadline_);
+  if (restored.ok()) {
+    // Pipelined: decompress + restore-apply overlapped with the transfer;
+    // only the pipeline drain past the last wire byte lands here.
+    AdvanceWithTicks(restore_deadline);
   }
   return restored;
 }
@@ -1520,13 +1522,13 @@ Result<MigrationReport> MigrationManager::Migrate(const RunningApp& app,
   FLUX_EVENT(home_rec, flight_events::kSubMigration,
              flight_events::kMigrationPrepared, EventSeverity::kInfo,
              static_cast<uint64_t>(app.pid), 0);
-  auto payload_result = config_.precopy
-                            ? BuildPayloadPrecopy(app, spec, report)
-                            : BuildPayload(app, report);
-  if (!payload_result.ok()) {
-    return rollback("checkpoint", payload_result.status());
+  auto built = config_.precopy ? BuildPayloadPrecopy(app, spec, report)
+                                : BuildPayload(app, report);
+  if (!built.ok()) {
+    return rollback("checkpoint", built.status());
   }
-  Bytes payload = payload_result.TakeValue();
+  BuiltPayload built_payload = built.TakeValue();
+  Bytes& payload = built_payload.bytes;
   FLUX_EVENT(home_rec, flight_events::kSubMigration,
              flight_events::kMigrationCheckpointed, EventSeverity::kInfo,
              payload.size(), report.image_raw_bytes);
@@ -1536,14 +1538,17 @@ Result<MigrationReport> MigrationManager::Migrate(const RunningApp& app,
     config_.payload_fault(payload);
   }
 
+  SimTime restore_deadline = 0;  // serial: nothing overlaps the restore
   if (config_.pipelined) {
     // Chunked streaming: post-copy deferral happens per chunk inside the
     // schedule, and the transfer is paced chunk by chunk.
-    if (Status transferred = TransferPipelined(
-            app, spec, ByteSpan(payload.data(), payload.size()), report);
-        !transferred.ok()) {
-      return rollback("transfer", transferred);
+    auto transferred = TransferPipelined(
+        app, spec, ByteSpan(payload.data(), payload.size()),
+        built_payload.manifest, std::move(built_payload.raw_image), report);
+    if (!transferred.ok()) {
+      return rollback("transfer", transferred.status());
     }
+    restore_deadline = transferred.value();
   } else {
     // Post-copy (§4's proposed optimization): only the hot working set of
     // the image is pre-paged before restore; the rest streams while the app
@@ -1572,8 +1577,9 @@ Result<MigrationReport> MigrationManager::Migrate(const RunningApp& app,
 
   CallLog log;
   HardwareSnapshot home_hw;
-  auto restored_result = RestoreOnGuest(
-      ByteSpan(payload.data(), payload.size()), report, log, home_hw);
+  auto restored_result =
+      RestoreOnGuest(ByteSpan(payload.data(), payload.size()),
+                     restore_deadline, report, log, home_hw);
   if (!restored_result.ok()) {
     return rollback("restore", restored_result.status());
   }

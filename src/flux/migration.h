@@ -69,12 +69,13 @@ struct MigrationConfig {
   // (ThreadPool::Shared); tests and embedders may inject their own. The
   // pool must outlive the manager.
   ThreadPool* compress_pool = nullptr;
-  // Extension: content-addressed delta transfer. With pipelined mode on,
-  // every raw image chunk is hashed; a manifest handshake asks the guest
-  // which hashes its ChunkCache already holds, and hits ship as 16-byte
-  // refs instead of compressed bytes. Warm re-migrations (A->B->A) shrink
-  // to the chunks that actually changed. Off by default: baseline payloads
-  // and figures stay bit-for-bit unchanged.
+  // Extension: content-addressed delta transfer on the chunk stream
+  // (implies pipelined; the constructor forces it on). Every raw image
+  // chunk is hashed; a manifest handshake asks the guest which hashes its
+  // ChunkCache already holds, and hits ship as 16-byte refs instead of
+  // compressed bytes. Warm re-migrations (A->B->A) shrink to the chunks
+  // that actually changed. Off by default: baseline payloads and figures
+  // stay bit-for-bit unchanged.
   bool chunk_dedup = false;
   // Extension (DESIGN.md §10): iterative pre-copy. After preparation the
   // full image streams into the guest's chunk cache while the app keeps
@@ -85,11 +86,6 @@ struct MigrationConfig {
   // and chunk_dedup (the constructor forces both on). Off by default:
   // every baseline figure stays bit-for-bit unchanged.
   bool precopy = false;
-  // Round budget before pre-copy gives up on convergence (forensics).
-  int precopy_max_rounds = 8;
-  // Bandwidth-aware termination: freeze once the estimated stop-and-copy
-  // of the remaining dirty delta drops below this.
-  SimDuration precopy_stop_copy_target = Millis(250);
   // Test hook: runs once, right after the final stop-and-copy cut (models
   // a write racing the freeze; exercises the re-cut path that keeps such
   // writes from being silently dropped).
@@ -104,19 +100,18 @@ struct MigrationConfig {
   // Decorrelates the per-migration loss/jitter draws and the recurring
   // outage phase across sweep points (XORed into the app-derived seed).
   uint64_t net_seed = 0;
-  // Frame-stream shape when a profile is active (PROTOCOL.md §5); FEC
-  // groups keep FrameStreamOptions' default of 8 data frames per parity.
+  // FEC parity in the frame stream when a profile is active (PROTOCOL.md
+  // §5); frames keep FrameStreamOptions' default shape (16 KiB payloads,
+  // 8 data frames per parity).
   bool fec = true;
-  uint32_t frame_payload_bytes = 16 * 1024;
   // Extension (DESIGN.md §13): chunk-resumable transfers. An interrupted
-  // migration waits out a recoverable outage, re-offers the chunk manifest
-  // (PROTOCOL.md §8), the guest acks what its cache already holds, and only
-  // un-acked chunks retransmit. Implies pipelined + chunk_dedup (the
-  // constructor forces both on). Off by default: interruption still aborts
-  // to rollback, and every baseline figure stays bit-for-bit unchanged.
+  // migration waits out a recoverable outage (up to 30 s), re-offers the
+  // chunk manifest (PROTOCOL.md §8), the guest acks what its cache already
+  // holds, and only un-acked chunks retransmit. Implies pipelined +
+  // chunk_dedup (the constructor forces both on). Off by default:
+  // interruption still aborts to rollback, and every baseline figure stays
+  // bit-for-bit unchanged.
   bool resume = false;
-  // An outage longer than this is treated as unrecoverable.
-  SimDuration resume_wait_max = Seconds(30);
   // Fault injection for tests: mutates the payload after checkpoint,
   // before transfer (models wire corruption; exercises restore rollback).
   std::function<void(Bytes&)> payload_fault;
@@ -305,15 +300,45 @@ class MigrationManager {
   }
 
  private:
+  // What the checkpoint hands the transfer.
+  struct BuiltPayload {
+    Bytes bytes;  // the wire payload
+    // chunk_dedup: the raw-chunk hash manifest, which the resume handshake
+    // re-offers.
+    std::vector<Hash128> manifest;
+    // resume only: the raw image, so the guest cache can take each chunk
+    // as its wire window closes (chunk-granular delivery is what the
+    // resume ack is about). The transfer takes ownership and frees it.
+    Bytes raw_image;
+  };
+  // A chunk stream's pacing state: the clock follows a loss-free wire
+  // schedule shifted by what outages, retransmissions and jitter added.
+  struct ChunkStream {
+    WifiNetwork& wifi;
+    const EffectiveLink& link;
+    const std::vector<Hash128>& manifest;  // re-offered on resume
+    const char* fail_msg;  // the rollback cause when an outage can't resume
+    SimDuration extra = 0;    // time beyond the loss-free schedule
+    uint64_t extra_wire = 0;  // handshakes + re-sends on the air
+  };
+
   Status Prepare(const RunningApp& app, MigrationReport& report);
-  Result<Bytes> BuildPayload(const RunningApp& app, MigrationReport& report);
-  // Pre-copy mode: runs the converging warm-up rounds (streaming chunks
-  // into the guest cache while the app keeps dirtying memory), then
-  // freezes the app and cuts the final stop-and-copy payload — re-cutting
-  // if a write raced the cut. Fills report.precopy and folds the whole
-  // window into the checkpoint interval.
-  Result<Bytes> BuildPayloadPrecopy(const RunningApp& app, const AppSpec& spec,
+  Result<BuiltPayload> BuildPayload(const RunningApp& app,
                                     MigrationReport& report);
+  // Pre-copy mode: runs the converging warm-up rounds, then freezes the
+  // app and cuts the final stop-and-copy payload — re-cutting if a write
+  // raced the cut. Fills report.precopy and folds the whole window into
+  // the checkpoint interval.
+  Result<BuiltPayload> BuildPayloadPrecopy(const RunningApp& app,
+                                           const AppSpec& spec,
+                                           MigrationReport& report);
+  // The warm-up rounds: stream chunks into the guest cache while the app
+  // keeps dirtying memory. Returns why pre-copy did not converge, or an
+  // empty string once a cut met the stop-and-copy target.
+  Result<std::string> RunPrecopyRounds(const RunningApp& app,
+                                       const AppSpec& spec,
+                                       const std::vector<Pid>& pids,
+                                       MigrationReport& report);
   Status Transfer(const RunningApp& app, const AppSpec& spec,
                   uint64_t payload_bytes, MigrationReport& report);
   // APK verification + data-directory delta sync into the pairing root;
@@ -325,30 +350,36 @@ class MigrationManager {
   // overlapped stage schedule. Fills report.pipeline and re-stamps the
   // checkpoint/transfer intervals with the overlapped boundaries. Takes the
   // payload itself (not just its size): under a non-clean profile each
-  // chunk's bytes run through the real frame codec.
-  Status TransferPipelined(const RunningApp& app, const AppSpec& spec,
-                           ByteSpan payload, MigrationReport& report);
-  // What one resume handshake cost, beyond the loss-free schedule.
-  struct ResumeOutcome {
-    SimDuration extra = 0;    // stall + handshake + in-flight re-send time
-    uint64_t wire_bytes = 0;  // handshake + re-send bytes on the air
-  };
+  // chunk's bytes run through the real frame codec. Returns the absolute
+  // end of the overlapped decompress + restore stages, which RestoreOnGuest
+  // waits out.
+  Result<SimTime> TransferPipelined(const RunningApp& app,
+                                    const AppSpec& spec, ByteSpan payload,
+                                    const std::vector<Hash128>& manifest,
+                                    Bytes raw_image, MigrationReport& report);
+  // Advances the clock to `target` + stream.extra, watching the link at
+  // every tick boundary. Each outage runs the resume handshake and shifts
+  // the rest of the stream by its cost; `resend_wire` is the in-flight
+  // bytes an outage destroys. The one place a chunk stream rides out
+  // outages: the transfer and resume-on pre-copy rounds both pace here.
+  Status AdvanceStream(ChunkStream& stream, SimTime target,
+                       uint64_t resend_wire, MigrationReport& report);
   // Rides out a connectivity loss at the current clock instant: waits for
   // the link to recover (devices keep ticking), then runs the resume
   // handshake — a framed manifest re-offer out, a cache-ack bitmap back
-  // (PROTOCOL.md §8) — counting the `manifest` chunks the guest cache
-  // already holds. `resend_wire` is the in-flight wire bytes the outage
-  // destroyed; they re-send in full after the handshake. Fails with a
-  // clean kUnavailable cause (`fail_msg`) when resume is off, the outage
-  // is permanent, longer than resume_wait_max, or the attempt budget is
-  // spent — the caller rolls back exactly as before resume existed.
-  Result<ResumeOutcome> ResumeAfterOutage(WifiNetwork& wifi,
-                                          const EffectiveLink& link,
-                                          const std::vector<Hash128>& manifest,
-                                          uint64_t resend_wire,
-                                          const char* fail_msg,
-                                          MigrationReport& report);
+  // (PROTOCOL.md §8) — counting the manifest chunks the guest cache
+  // already holds. `resend_wire` re-sends in full after the handshake; the
+  // stall, handshake and re-send are added to the stream's extra time and
+  // wire bytes. Fails with a clean kUnavailable cause (stream.fail_msg)
+  // when resume is off, the outage is permanent, longer than the 30 s wait
+  // budget, or the attempt budget is spent — the caller rolls back exactly
+  // as before resume existed.
+  Status ResumeAfterOutage(ChunkStream& stream, uint64_t resend_wire,
+                           MigrationReport& report);
+  // Decodes and restores the payload, then waits out the pipelined drain
+  // up to `restore_deadline` (0 on the serial path: nothing overlapped).
   Result<CriaRestoredApp> RestoreOnGuest(ByteSpan payload,
+                                         SimTime restore_deadline,
                                          MigrationReport& report,
                                          CallLog& log_out,
                                          HardwareSnapshot& hw_out);
@@ -365,8 +396,10 @@ class MigrationManager {
                                                  ReplayAuditJournal journal,
                                                  const MigrationReport& report);
 
-  // Advances the shared clock to `target` in kTransferTick slices, ticking
-  // both devices at each boundary so their timers observe time passing.
+  // The one clock loop of a migration: advances the shared clock to
+  // `target` in kTransferTick slices, ticking both devices at each boundary
+  // so their timers observe time passing, and counting each slice into
+  // net.transfer_ticks / net.tick_us.
   // With `watch` set, stops early and returns false if the network is down
   // at a slice boundary; returns true once `target` is reached.
   bool AdvanceWithTicks(SimTime target, WifiNetwork* watch = nullptr);
@@ -395,19 +428,9 @@ class MigrationManager {
   // entry, cleared (with both recorders' and the tracer's ambient context)
   // on every exit path.
   TraceContext ctx_;
-  // Absolute end of the overlapped decompress+restore stages, set by
-  // TransferPipelined and consumed by RestoreOnGuest.
-  SimTime pipeline_restore_deadline_ = 0;
-  // Dedup mode: the raw-chunk hash manifest of the current payload, stored
-  // by BuildPayload — the resume handshake re-offers exactly this list.
-  std::vector<Hash128> payload_chunk_hashes_;
-  // Resume mode only: a copy of the raw image, so the guest cache can take
-  // each chunk as its wire window closes (chunk-granular delivery is what
-  // the resume ack is about). Freed when the transfer completes.
-  Bytes resume_raw_image_;
   // Pre-copy only: the modeled write load of the still-running app,
   // invoked from AdvanceWithTicks with each slice's duration. Installed
-  // for the duration of the warm-up rounds; null (the default) leaves
+  // by RunPrecopyRounds for its own duration; null (the default) leaves
   // every other path byte-identical.
   std::function<void(SimDuration)> precopy_mutator_;
   std::shared_ptr<const ForensicReport> last_forensics_;

@@ -300,6 +300,10 @@ SimDuration WifiNetwork::TransferTime(uint64_t bytes,
 void WifiNetwork::Transfer(SimClock& clock, uint64_t bytes,
                            const EffectiveLink& link) {
   clock.Advance(TransferTime(bytes, link));
+  AccountTraffic(bytes, link);
+}
+
+void WifiNetwork::AccountTraffic(uint64_t bytes, const EffectiveLink& link) {
   total_bytes_ += bytes;
   FLUX_TRACE_COUNTER_ADD(trace_bytes_, bytes);
   FLUX_TRACE_COUNTER_ADD(trace_transfers_, 1);
@@ -402,37 +406,6 @@ bool WifiNetwork::NextUpAt(SimTime now, SimTime* when) const {
     return false;  // recovery would land after the permanent outage fires
   }
   *when = t;
-  return true;
-}
-
-bool WifiNetwork::TransferWithTicks(SimClock& clock, uint64_t bytes,
-                                    const EffectiveLink& link,
-                                    SimDuration max_slice,
-                                    const std::function<void()>& on_tick) {
-  if (!UpAt(clock.now())) {
-    return false;
-  }
-  SimDuration remaining = TransferTime(bytes, link);
-  const SimDuration slice = max_slice > 0 ? max_slice : remaining;
-  while (remaining > 0) {
-    const SimDuration step = std::min(remaining, slice);
-    clock.Advance(step);
-    remaining -= step;
-    FLUX_TRACE_COUNTER_ADD(trace_ticks_, 1);
-    FLUX_TRACE_HIST_RECORD(hist_tick_, static_cast<uint64_t>(step));
-    if (on_tick) {
-      on_tick();
-    }
-    if (!UpAt(clock.now())) {
-      return false;
-    }
-  }
-  total_bytes_ += bytes;
-  FLUX_TRACE_COUNTER_ADD(trace_bytes_, bytes);
-  FLUX_TRACE_COUNTER_ADD(trace_transfers_, 1);
-  FLUX_EVENT(flight_recorder_, flight_events::kSubNet,
-             flight_events::kNetTransfer, EventSeverity::kDebug, bytes,
-             link.goodput_bps);
   return true;
 }
 

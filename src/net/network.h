@@ -11,7 +11,6 @@
 #define FLUX_SRC_NET_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -181,21 +180,16 @@ class WifiNetwork {
   // Advances `clock` by TransferTime and accounts the traffic.
   void Transfer(SimClock& clock, uint64_t bytes, const EffectiveLink& link);
 
-  // Advances `clock` through TransferTime(bytes) in slices no longer than
-  // `max_slice`, invoking `on_tick` at every slice boundary so devices can
-  // run their periodic work (task idlers, due alarms) while a long transfer
-  // is in flight. Returns false — with the remaining time not advanced and
-  // no traffic accounted — if the network goes down mid-transfer.
-  bool TransferWithTicks(SimClock& clock, uint64_t bytes,
-                         const EffectiveLink& link, SimDuration max_slice,
-                         const std::function<void()>& on_tick);
+  // Accounts a completed transfer without advancing any clock (migrations
+  // pace the clock themselves, MigrationManager::AdvanceWithTicks): bytes
+  // and transfer counters, plus a net.transfer flight event.
+  void AccountTraffic(uint64_t bytes, const EffectiveLink& link);
 
-  // Accounts traffic without advancing any clock; pipelined migrations pace
-  // the clock themselves from the stage schedule.
-  void AccountTraffic(uint64_t bytes) {
-    total_bytes_ += bytes;
-    FLUX_TRACE_COUNTER_ADD(trace_bytes_, bytes);
-    FLUX_TRACE_COUNTER_ADD(trace_transfers_, 1);
+  // Counts one world-tick slice of a migration's clock advance into
+  // net.transfer_ticks and the net.tick_us histogram.
+  void CountTick(SimDuration slice) {
+    FLUX_TRACE_COUNTER_ADD(trace_ticks_, 1);
+    FLUX_TRACE_HIST_RECORD(hist_tick_, static_cast<uint64_t>(slice));
   }
 
   uint64_t total_bytes_carried() const { return total_bytes_; }

@@ -67,6 +67,21 @@ MigrationConfig DedupConfig() {
   return config;
 }
 
+// chunk_dedup alone turns the chunk stream on: the manifest handshake and
+// ref chunks exist nowhere else, so dedup never silently does nothing.
+TEST(DedupMigrationTest, DedupAloneImpliesPipelined) {
+  RoundTripWorld tw;
+  tw.Boot("Flappy Bird");
+  MigrationConfig config;
+  config.chunk_dedup = true;
+  auto hop = tw.Hop(*tw.a_agent, *tw.b_agent, config);
+  ASSERT_TRUE(hop.ok()) << hop.status().ToString();
+  ASSERT_TRUE(hop->success) << hop->refusal_reason;
+  EXPECT_TRUE(hop->dedup.enabled);
+  EXPECT_TRUE(hop->pipeline.enabled);
+  EXPECT_EQ(hop->image_hash, hop->restored_image_hash);
+}
+
 TEST(DedupMigrationTest, WarmReturnHopShipsRefsAndFewerBytes) {
   RoundTripWorld dedup;
   dedup.Boot("Candy Crush Saga");

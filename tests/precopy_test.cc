@@ -222,10 +222,19 @@ struct RoundTripWorld {
   std::unique_ptr<FluxAgent> a_agent;
   std::unique_ptr<FluxAgent> b_agent;
   std::unique_ptr<AppInstance> app;
+  AppSpec owned_spec;
   const AppSpec* spec = nullptr;
   RunningApp running;
 
   void Boot(const std::string& app_name) {
+    const AppSpec* found = FindApp(app_name);
+    ASSERT_NE(found, nullptr) << app_name;
+    Boot(*found);
+  }
+
+  void Boot(const AppSpec& app_spec) {
+    owned_spec = app_spec;
+    spec = &owned_spec;
     BootOptions boot;
     boot.framework_scale = 0.01;
     a = world.AddDevice("n4", Nexus4Profile(), boot).value();
@@ -234,8 +243,6 @@ struct RoundTripWorld {
     b_agent = std::make_unique<FluxAgent>(*b);
     ASSERT_TRUE(PairDevices(*a_agent, *b_agent).ok());
     ASSERT_TRUE(PairDevices(*b_agent, *a_agent).ok());
-    spec = FindApp(app_name);
-    ASSERT_NE(spec, nullptr) << app_name;
     app = std::make_unique<AppInstance>(*a, *spec);
     ASSERT_TRUE(app->Install().ok());
     ASSERT_TRUE(PairApp(*a_agent, *b_agent, *spec).ok());
@@ -372,26 +379,58 @@ TEST(PrecopyMigrationTest, PoisonedGuestCacheFallsBackWithoutCorruption) {
 }
 
 TEST(PrecopyMigrationTest, NonConvergenceIsReportedThroughForensics) {
+  // A write load that scatters across the whole heap faster than a round
+  // can stream it: every round finds nearly every chunk dirty again, the
+  // pending set stops shrinking, and pre-copy cannot converge.
+  AppSpec spec = *FindApp("Candy Crush Saga");
+  spec.workload.dirty_bytes_per_s = 1024 * 1024;
+  spec.workload.dirty_hot_fraction = 1.0;
   RoundTripWorld tw;
-  tw.Boot("Candy Crush Saga");
-  MigrationConfig config = PrecopyConfig();
-  // One round and an unreachable freeze target: pre-copy cannot converge.
-  config.precopy_max_rounds = 1;
-  config.precopy_stop_copy_target = 0;
+  tw.Boot(spec);
 
-  auto hop = tw.Hop(*tw.a_agent, *tw.b_agent, config);
+  auto hop = tw.Hop(*tw.a_agent, *tw.b_agent, PrecopyConfig());
   ASSERT_TRUE(hop.ok()) << hop.status().ToString();
   // Non-convergence degrades to a longer stop-and-copy, never a failure.
   ASSERT_TRUE(hop->success) << hop->refusal_reason;
   EXPECT_TRUE(hop->precopy.enabled);
   EXPECT_FALSE(hop->precopy.converged);
-  EXPECT_EQ(hop->precopy.rounds.size(), 1u);
+  // Round 0 streams the whole image; round 1 finds it dirty again.
+  EXPECT_EQ(hop->precopy.rounds.size(), 2u);
   EXPECT_EQ(hop->image_hash, hop->restored_image_hash);
 
   // The aborted convergence is documented in a forensic report.
   ASSERT_NE(hop->forensics, nullptr);
   EXPECT_EQ(hop->forensics->failure_phase, "precopy");
   EXPECT_FALSE(hop->forensics->rolled_back);
+  ASSERT_FALSE(hop->forensics->cause_chain.empty());
+  EXPECT_NE(hop->forensics->cause_chain[0].message.find("stopped shrinking"),
+            std::string::npos)
+      << hop->forensics->cause_chain[0].message;
+}
+
+// The other non-convergence cause: a doubled heap under a steady load
+// keeps shrinking the pending set by more than 15% a round, but never
+// below the stop-and-copy target before the 8-round budget runs out.
+TEST(PrecopyMigrationTest, RoundBudgetExhaustionIsReportedThroughForensics) {
+  AppSpec spec = *FindApp("Candy Crush Saga");
+  spec.heap_bytes *= 2;
+  spec.workload.dirty_bytes_per_s = 1024 * 1024;
+  spec.workload.dirty_hot_fraction = 0.005;
+  RoundTripWorld tw;
+  tw.Boot(spec);
+
+  auto hop = tw.Hop(*tw.a_agent, *tw.b_agent, PrecopyConfig());
+  ASSERT_TRUE(hop.ok()) << hop.status().ToString();
+  ASSERT_TRUE(hop->success) << hop->refusal_reason;
+  EXPECT_FALSE(hop->precopy.converged);
+  EXPECT_EQ(hop->precopy.rounds.size(), 8u);
+  EXPECT_EQ(hop->image_hash, hop->restored_image_hash);
+  ASSERT_NE(hop->forensics, nullptr);
+  EXPECT_EQ(hop->forensics->failure_phase, "precopy");
+  ASSERT_FALSE(hop->forensics->cause_chain.empty());
+  EXPECT_NE(hop->forensics->cause_chain[0].message.find("round budget"),
+            std::string::npos)
+      << hop->forensics->cause_chain[0].message;
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "src/flux/flux_agent.h"
 #include "src/flux/migration.h"
 #include "src/flux/pairing.h"
+#include "src/flux/trace.h"
 #include "src/net/network.h"
 
 namespace flux {
@@ -183,12 +184,10 @@ TEST(ResumeTest, OutageOutlastingWaitBudgetRollsBackCleanly) {
 
   ResumeWorld tw;
   tw.Boot(kApp);
-  // A 10 s hole against a 1 s patience budget: resumable transfers must
+  // A 45 s hole against the 30 s patience budget: resumable transfers must
   // not wait forever — this is a clean, attributed rollback.
-  MigrationConfig config = ResumeConfig();
-  config.resume_wait_max = Seconds(1);
-  tw.world.wifi().ScheduleOutageWindow(mid, Seconds(10));
-  auto hop = tw.Hop(config);
+  tw.world.wifi().ScheduleOutageWindow(mid, Seconds(45));
+  auto hop = tw.Hop(ResumeConfig());
   ASSERT_FALSE(hop.ok());
   EXPECT_EQ(hop.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(hop.status().ToString().find("resume_wait_max"),
@@ -220,7 +219,6 @@ TEST(ResumeTest, SerialPathOnLossyLinkChargesMeanFieldFraming) {
   EXPECT_FALSE(hop->pipeline.enabled);
   EXPECT_TRUE(hop->frame_wire.enabled);
   FrameStreamOptions opts;
-  opts.frame_payload_bytes = config.frame_payload_bytes;
   opts.fec = config.fec;
   const uint64_t expected = static_cast<uint64_t>(
       std::ceil(static_cast<double>(FramedWireBytes(clean_total, opts)) /
@@ -234,11 +232,10 @@ TEST(ResumeTest, LossyLinkWithFecRecoversWithoutRetransmitStorm) {
   ResumeWorld tw;
   tw.Boot(kApp);
   MigrationConfig config = ResumeConfig();
-  config.net_profile.name = "loss-1pct";
-  config.net_profile.loss_rate = 0.01;
-  // Small frames so a 1% rate yields enough losses for parity to show its
-  // work on this small app's image.
-  config.frame_payload_bytes = 2048;
+  config.net_profile.name = "loss-5pct";
+  // Default 16 KiB frames: a 5% rate yields enough losses for parity to
+  // show its work on this small app's image.
+  config.net_profile.loss_rate = 0.05;
   auto hop = tw.Hop(config);
   ASSERT_TRUE(hop.ok()) << hop.status().ToString();
   ASSERT_TRUE(hop->success) << hop->refusal_reason;
@@ -269,6 +266,23 @@ TEST(ResumeTest, HostileProfileEndToEnd) {
   // A quarter of hostile losses arrive corrupted: the CRC catches them.
   EXPECT_GT(hop->frame_wire.crc_errors, 0u);
   EXPECT_EQ(hop->image_hash, hop->restored_image_hash);
+}
+
+// Every chunk-stream clock advance runs the one world-tick loop, so the
+// tick telemetry the serial path always had covers resume-on streams too.
+TEST(ResumeTest, ChunkStreamCountsWorldTicks) {
+  ResumeWorld tw;
+  tw.Boot(kApp);
+  Tracer tracer(&tw.world.clock());
+  MigrationConfig config = ResumeConfig();
+  config.trace = &tracer;
+  auto hop = tw.Hop(config);
+  ASSERT_TRUE(hop.ok() && hop->success) << hop.status().ToString();
+  ASSERT_TRUE(hop->pipeline.enabled);
+  const uint64_t ticks =
+      tracer.counter(trace_names::kNetTransferTicks)->value();
+  EXPECT_GT(ticks, 0u);
+  EXPECT_EQ(tracer.histogram(trace_names::kHistNetTick)->count(), ticks);
 }
 
 // ----- pre-copy mid-round interruption (the PR's bug fix) -----
