@@ -1,19 +1,26 @@
 // Microbenchmarks (google-benchmark): real wall-clock cost of the hot
 // paths — Binder transactions with and without the Flux record engine
 // interposed (the implementation-level version of Figure 16's claim),
-// parcel marshalling, the LZ codec, and CRIA checkpoint/restore throughput.
+// parcel marshalling, the LZ codec, CRIA checkpoint/restore throughput, and
+// the fleet coordinator's two inner loops: chunk-cache probes and fabric
+// settles.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/apps/app_instance.h"
 #include "src/base/compress.h"
+#include "src/base/rng.h"
 #include "src/base/synthetic_content.h"
 #include "src/base/thread_pool.h"
 #include "src/cria/cria.h"
 #include "src/device/world.h"
+#include "src/flux/chunk_cache.h"
 #include "src/flux/flux_agent.h"
 #include "src/flux/pairing.h"
+#include "src/net/contended_link.h"
 
 namespace flux {
 namespace {
@@ -213,6 +220,86 @@ void BM_RecordPruning(benchmark::State& state) {
       agent.recorder().LogFor(fixture.app->pid())->size());
 }
 BENCHMARK(BM_RecordPruning);
+
+void BM_ChunkCacheFleetShape(benchmark::State& state) {
+  // The fleet coordinator's cache traffic: entries are short seed strings
+  // ("app/chunk/generation"), thousands per device, probed by the
+  // placement manifest scan with roughly half the probes missing, plus
+  // the re-inserts a completed hop makes.
+  constexpr int kEntries = 4096;
+  std::vector<std::string> seeds;
+  std::vector<Hash128> hashes;
+  for (int i = 0; i < 2 * kEntries; ++i) {
+    seeds.push_back("app" + std::to_string(i % 97) + "/" +
+                    std::to_string(i) + "/" + std::to_string(i % 5));
+    hashes.push_back(FluxHash128(ByteSpan(
+        reinterpret_cast<const uint8_t*>(seeds.back().data()),
+        seeds.back().size())));
+  }
+  auto bytes = [&](int i) {
+    return ByteSpan(reinterpret_cast<const uint8_t*>(seeds[i].data()),
+                    seeds[i].size());
+  };
+  ChunkCache cache(256 * 1024);
+  for (int i = 0; i < kEntries; ++i) {
+    cache.Insert(hashes[static_cast<size_t>(i)], bytes(i));
+  }
+  Rng rng(17);
+  std::vector<int> order;
+  for (int i = 0; i < 2 * kEntries; ++i) {
+    order.push_back(static_cast<int>(rng.NextBelow(2 * kEntries)));
+  }
+  int hits = 0;
+  for (auto _ : state) {
+    for (const int i : order) {
+      hits += cache.HasValid(hashes[static_cast<size_t>(i)]) ? 1 : 0;
+    }
+    for (int i = 0; i < kEntries; i += 16) {
+      cache.Insert(hashes[static_cast<size_t>(i)], bytes(i));
+    }
+  }
+  benchmark::DoNotOptimize(hits);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          (2 * kEntries + kEntries / 16));
+}
+BENCHMARK(BM_ChunkCacheFleetShape);
+
+void BM_FabricSettle(benchmark::State& state) {
+  // One fabric event at fleet scale: `range(0)` concurrent flows over the
+  // 100k fleet's 1563 APs; each iteration settles the earliest completion
+  // and starts a replacement for every finished flow, so membership (and
+  // the re-rate) changes on every event.
+  constexpr int kAps = (100'000 + 63) / 64;
+  const int in_flight = static_cast<int>(state.range(0));
+  ContendedFabric fabric;
+  for (int a = 0; a < kAps; ++a) {
+    fabric.AddAp("ap" + std::to_string(a), 150'000'000);
+  }
+  Rng rng(static_cast<uint64_t>(in_flight));
+  auto start = [&](SimTime now) {
+    const auto home = static_cast<ContendedFabric::ApId>(rng.NextBelow(kAps));
+    const auto guest = static_cast<ContendedFabric::ApId>(rng.NextBelow(kAps));
+    fabric.StartFlow(now, ((4ULL << 20) + rng.NextBelow(28ULL << 20)) * 45 / 100,
+                     20'000'000 + rng.NextBelow(20'000'000), home, guest);
+  };
+  for (int i = 0; i < in_flight; ++i) {
+    start(0);
+  }
+  SimTime when = 0;
+  std::vector<ContendedFabric::FinishedFlow> finished;
+  for (auto _ : state) {
+    fabric.NextCompletion(when, &when);
+    finished.clear();
+    fabric.Settle(when, &finished);
+    for (size_t i = 0; i < finished.size(); ++i) {
+      start(when);
+    }
+    benchmark::DoNotOptimize(when);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["flows"] = static_cast<double>(fabric.active_flows());
+}
+BENCHMARK(BM_FabricSettle)->Arg(64)->Arg(512);
 
 }  // namespace
 }  // namespace flux

@@ -23,16 +23,17 @@ void ChunkCache::set_tracer(Tracer* tracer) {
 }
 
 void ChunkCache::Insert(const Hash128& hash, ByteSpan content) {
-  auto it = index_.find(hash);
-  if (it != index_.end()) {
+  const uint32_t found = Find(hash);
+  if (found != kNil) {
     // Already cached: refresh recency (and content, in case the entry was
     // poisoned since — Insert is the one writer that knows good bytes).
-    lru_.splice(lru_.begin(), lru_, it->second);
-    if (it->second->content.size() != content.size() ||
-        !std::equal(content.begin(), content.end(),
-                    it->second->content.begin())) {
-      bytes_ -= it->second->content.size();
-      it->second->content.assign(content.begin(), content.end());
+    Entry& entry = entries_[found];
+    Unlink(found);
+    PushFront(found);
+    if (entry.content.size() != content.size() ||
+        !std::equal(content.begin(), content.end(), entry.content.begin())) {
+      bytes_ -= entry.content.size();
+      entry.content.assign(content.begin(), content.end());
       bytes_ += content.size();
     }
     ++stats_.refreshes;
@@ -43,8 +44,18 @@ void ChunkCache::Insert(const Hash128& hash, ByteSpan content) {
   if (content.size() > budget_bytes_) {
     return;
   }
-  lru_.push_front(Entry{hash, Bytes(content.begin(), content.end())});
-  index_[hash] = lru_.begin();
+  uint32_t index = free_;
+  if (index != kNil) {
+    free_ = entries_[index].next;
+  } else {
+    index = static_cast<uint32_t>(entries_.size());
+    entries_.emplace_back();
+  }
+  Entry& entry = entries_[index];
+  entry.hash = hash;
+  entry.content.assign(content.begin(), content.end());
+  PushFront(index);
+  IndexInsert(index);
   bytes_ += content.size();
   ++stats_.insertions;
   FLUX_TRACE_COUNTER_ADD(trace_insertions_, 1);
@@ -52,26 +63,25 @@ void ChunkCache::Insert(const Hash128& hash, ByteSpan content) {
 }
 
 bool ChunkCache::HasValid(const Hash128& hash) {
-  auto it = index_.find(hash);
-  if (it == index_.end()) {
+  const uint32_t found = Find(hash);
+  if (found == kNil) {
     ++stats_.misses;
     FLUX_TRACE_COUNTER_ADD(trace_misses_, 1);
     return false;
   }
-  const Bytes& content = it->second->content;
+  const Bytes& content = entries_[found].content;
   if (FluxHash128(ByteSpan(content.data(), content.size())) != hash) {
     // Poisoned entry: drop it so the peer ships the full chunk.
     ++stats_.verify_failures;
     FLUX_TRACE_COUNTER_ADD(trace_verify_failures_, 1);
     FLUX_EVENT(flight_recorder_, flight_events::kSubCache,
                flight_events::kCacheVerifyFailure, EventSeverity::kWarning,
-               content.size(), index_.size());
-    bytes_ -= content.size();
-    lru_.erase(it->second);
-    index_.erase(it);
+               content.size(), live_);
+    Drop(found);
     return false;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
+  Unlink(found);
+  PushFront(found);
   ++stats_.hits;
   FLUX_TRACE_COUNTER_ADD(trace_hits_, 1);
   return true;
@@ -81,24 +91,24 @@ bool ChunkCache::Fetch(const Hash128& hash, Bytes& out) {
   if (!HasValid(hash)) {
     return false;
   }
-  out = lru_.front().content;  // HasValid bumped it most-recent
+  out = entries_[head_].content;  // HasValid bumped it most-recent
   return true;
 }
 
 bool ChunkCache::Remove(const Hash128& hash) {
-  auto it = index_.find(hash);
-  if (it == index_.end()) {
+  const uint32_t found = Find(hash);
+  if (found == kNil) {
     return false;
   }
-  bytes_ -= it->second->content.size();
-  lru_.erase(it->second);
-  index_.erase(it);
+  Drop(found);
   return true;
 }
 
 void ChunkCache::Clear() {
-  lru_.clear();
-  index_.clear();
+  entries_.clear();
+  slots_.clear();
+  live_ = 0;
+  head_ = tail_ = free_ = kNil;
   bytes_ = 0;
 }
 
@@ -108,32 +118,123 @@ void ChunkCache::set_budget_bytes(uint64_t budget_bytes) {
 }
 
 bool ChunkCache::PoisonForTest(const Hash128& hash) {
-  auto it = index_.find(hash);
-  if (it == index_.end() || it->second->content.empty()) {
+  const uint32_t found = Find(hash);
+  if (found == kNil || entries_[found].content.empty()) {
     return false;
   }
-  it->second->content[0] ^= 0x01;
+  entries_[found].content[0] ^= 0x01;
   return true;
 }
 
 std::vector<Hash128> ChunkCache::Keys() const {
   std::vector<Hash128> keys;
-  keys.reserve(lru_.size());
-  for (const Entry& entry : lru_) {
-    keys.push_back(entry.hash);
+  keys.reserve(live_);
+  for (uint32_t i = head_; i != kNil; i = entries_[i].next) {
+    keys.push_back(entries_[i].hash);
   }
   return keys;
 }
 
 void ChunkCache::EvictToBudget() {
-  while (bytes_ > budget_bytes_ && !lru_.empty()) {
-    const Entry& victim = lru_.back();
-    bytes_ -= victim.content.size();
-    index_.erase(victim.hash);
-    lru_.pop_back();
+  while (bytes_ > budget_bytes_ && tail_ != kNil) {
+    Drop(tail_);
     ++stats_.evictions;
     FLUX_TRACE_COUNTER_ADD(trace_evictions_, 1);
   }
+}
+
+uint32_t ChunkCache::Find(const Hash128& hash) const {
+  if (slots_.empty()) {
+    return kNil;
+  }
+  const size_t mask = slots_.size() - 1;
+  for (size_t pos = hash.lo & mask;; pos = (pos + 1) & mask) {
+    const uint32_t index = slots_[pos];
+    if (index == kNil || entries_[index].hash == hash) {
+      return index;
+    }
+  }
+}
+
+size_t ChunkCache::SlotOf(uint32_t index) const {
+  const size_t mask = slots_.size() - 1;
+  size_t pos = entries_[index].hash.lo & mask;
+  while (slots_[pos] != index) {
+    pos = (pos + 1) & mask;
+  }
+  return pos;
+}
+
+void ChunkCache::IndexInsert(uint32_t index) {
+  // At most half full keeps probe chains short; the new entry counts.
+  if ((live_ + 1) * 2 > slots_.size()) {
+    Grow();
+  }
+  Place(index);
+  ++live_;
+}
+
+void ChunkCache::Place(uint32_t index) {
+  const size_t mask = slots_.size() - 1;
+  size_t pos = entries_[index].hash.lo & mask;
+  while (slots_[pos] != kNil) {
+    pos = (pos + 1) & mask;
+  }
+  slots_[pos] = index;
+}
+
+void ChunkCache::IndexErase(uint32_t index) {
+  // Backward-shift deletion: walk the run after the hole and pull back
+  // every entry whose home slot does not lie cyclically inside (hole, pos],
+  // so no probe chain ever crosses an empty slot it should not.
+  const size_t mask = slots_.size() - 1;
+  size_t hole = SlotOf(index);
+  for (size_t pos = (hole + 1) & mask; slots_[pos] != kNil;
+       pos = (pos + 1) & mask) {
+    const size_t home = entries_[slots_[pos]].hash.lo & mask;
+    if (((pos - home) & mask) >= ((pos - hole) & mask)) {
+      slots_[hole] = slots_[pos];
+      hole = pos;
+    }
+  }
+  slots_[hole] = kNil;
+  --live_;
+}
+
+void ChunkCache::Grow() {
+  constexpr size_t kMinSlots = 16;
+  std::vector<uint32_t> old = std::move(slots_);
+  slots_.assign(std::max(kMinSlots, old.size() * 2), kNil);
+  for (const uint32_t index : old) {
+    if (index != kNil) {
+      Place(index);
+    }
+  }
+}
+
+void ChunkCache::Unlink(uint32_t index) {
+  Entry& entry = entries_[index];
+  (entry.prev != kNil ? entries_[entry.prev].next : head_) = entry.next;
+  (entry.next != kNil ? entries_[entry.next].prev : tail_) = entry.prev;
+  entry.prev = entry.next = kNil;
+}
+
+void ChunkCache::PushFront(uint32_t index) {
+  Entry& entry = entries_[index];
+  entry.prev = kNil;
+  entry.next = head_;
+  (head_ != kNil ? entries_[head_].prev : tail_) = index;
+  head_ = index;
+}
+
+void ChunkCache::Drop(uint32_t index) {
+  Unlink(index);
+  IndexErase(index);
+  Entry& entry = entries_[index];
+  bytes_ -= entry.content.size();
+  Bytes().swap(entry.content);
+  entry.next = free_;
+  free_ = index;
 }
 
 }  // namespace flux

@@ -13,12 +13,19 @@
 // (bit rot, a torn write) is indistinguishable from a miss, so the home
 // side ships the full chunk instead of letting a bad cache corrupt a
 // restore. Eviction is LRU by bytes against a per-device budget.
+//
+// Layout (DESIGN.md §5): the fleet coordinator keeps one cache per modeled
+// device, 100k of them, so the store is flat rather than node-based. All
+// entries live in one vector; the LRU list is threaded through them by
+// uint32 prev/next indices, and freed slots are recycled through a free
+// list threaded the same way. The index is a power-of-two open-addressing
+// table of entry indices keyed on `hash.lo` (already uniformly mixed), with
+// linear probing and backward-shift deletion, kept at most half full. An
+// empty cache allocates nothing.
 #ifndef FLUX_SRC_FLUX_CHUNK_CACHE_H_
 #define FLUX_SRC_FLUX_CHUNK_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/bytes.h"
@@ -72,7 +79,7 @@ class ChunkCache {
   void set_budget_bytes(uint64_t budget_bytes);
   uint64_t budget_bytes() const { return budget_bytes_; }
   uint64_t bytes() const { return bytes_; }
-  size_t entries() const { return index_.size(); }
+  size_t entries() const { return live_; }
   const Stats& stats() const { return stats_; }
 
   // Mirrors the Stats increments into cache.* trace counters (null
@@ -95,18 +102,38 @@ class ChunkCache {
   std::vector<Hash128> Keys() const;
 
  private:
+  static constexpr uint32_t kNil = ~uint32_t{0};
+
   struct Entry {
     Hash128 hash;
     Bytes content;
+    uint32_t prev = kNil;  // toward the most recently used end
+    uint32_t next = kNil;  // toward the least recently used end; free list
   };
-  using Lru = std::list<Entry>;
 
+  // Index of the entry keyed `hash`, or kNil.
+  uint32_t Find(const Hash128& hash) const;
+  // Slot-table position holding entry `index` (which must be indexed).
+  size_t SlotOf(uint32_t index) const;
+  void IndexInsert(uint32_t index);
+  // Puts entry `index` in the first free slot of its probe chain.
+  void Place(uint32_t index);
+  void IndexErase(uint32_t index);
+  void Grow();
+  void Unlink(uint32_t index);
+  void PushFront(uint32_t index);
+  // Unlinks, unindexes and frees entry `index`, releasing its content.
+  void Drop(uint32_t index);
   void EvictToBudget();
 
   uint64_t budget_bytes_;
   uint64_t bytes_ = 0;
-  Lru lru_;  // front = most recently used
-  std::unordered_map<Hash128, Lru::iterator, Hash128Hasher> index_;
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> slots_;  // entry index per slot, kNil when empty
+  size_t live_ = 0;
+  uint32_t head_ = kNil;  // most recently used
+  uint32_t tail_ = kNil;  // least recently used
+  uint32_t free_ = kNil;  // first recycled entry
   Stats stats_;
   TraceCounter* trace_hits_ = nullptr;
   TraceCounter* trace_misses_ = nullptr;

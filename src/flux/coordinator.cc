@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 #include <utility>
 
 #include "src/base/bytes.h"
@@ -34,9 +33,19 @@ struct MigrationCoordinator::FleetDevice {
   explicit FleetDevice(const FleetDeviceSpec& s)
       : spec(s), cache(s.cache_budget_bytes) {}
 
+  bool IsPairedWith(FleetDeviceId other) const {
+    return std::binary_search(paired.begin(), paired.end(), other);
+  }
+  void AddPeer(FleetDeviceId other) {
+    auto at = std::lower_bound(paired.begin(), paired.end(), other);
+    if (at == paired.end() || *at != other) {
+      paired.insert(at, other);
+    }
+  }
+
   FleetDeviceSpec spec;
   ChunkCache cache;
-  std::unordered_set<FleetDeviceId> paired;
+  std::vector<FleetDeviceId> paired;  // sorted, no duplicates
   bool busy = false;
 };
 
@@ -134,13 +143,13 @@ FleetAppId MigrationCoordinator::AddApp(const FleetAppSpec& spec) {
 
 void MigrationCoordinator::MarkPaired(FleetDeviceId a, FleetDeviceId b) {
   assert(a < devices_.size() && b < devices_.size() && a != b);
-  devices_[a]->paired.insert(b);
-  devices_[b]->paired.insert(a);
+  devices_[a]->AddPeer(b);
+  devices_[b]->AddPeer(a);
 }
 
 bool MigrationCoordinator::IsPaired(FleetDeviceId a, FleetDeviceId b) const {
   return a < devices_.size() && b < devices_.size() &&
-         devices_[a]->paired.count(b) != 0;
+         devices_[a]->IsPairedWith(b);
 }
 
 uint32_t MigrationCoordinator::ShardOf(FleetDeviceId device) const {
@@ -234,7 +243,7 @@ bool MigrationCoordinator::RequestMigration(FleetAppId app_id,
   const bool explicit_guest = guest != kNoFleetDevice;
   const bool bad_guest =
       explicit_guest && (guest >= devices_.size() || guest == app.home ||
-                         devices_[app.home]->paired.count(guest) == 0);
+                         !devices_[app.home]->IsPairedWith(guest));
   if (app.migrating || bad_guest ||
       (!explicit_guest && devices_[app.home]->paired.empty())) {
     FLUX_TRACE_COUNTER_ADD(ctr_refused_, 1);
@@ -307,6 +316,8 @@ FleetDeviceId MigrationCoordinator::PlaceGuest(const FleetApp& app) {
     }
     FLUX_TRACE_COUNTER_ADD(ctr_probes_, chunks);
     const int load = fabric_->ActiveFlows(dev.spec.ap);
+    // A strict total order on (more warm, less load, lower id): the choice
+    // cannot depend on the order candidates are visited in.
     const bool better =
         best == kNoFleetDevice || warm > best_warm ||
         (warm == best_warm &&

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/net/network.h"
 
@@ -12,19 +13,25 @@ void ContendedFabric::ApplyProfile(const NetProfile& profile) {
     profiled_ = false;
     capacity_factor_ = 1.0;
     byte_overhead_ = 1.0;
-    return;
+  } else {
+    profiled_ = true;
+    capacity_factor_ = std::clamp(profile.MeanRateFactor(), 0.05, 1.0);
+    // Framing overhead at the pipeline chunk size, then expected-loss
+    // retransmissions on top.
+    constexpr uint64_t kRepresentativeChunk = 256 * 1024;
+    const FrameStreamOptions options;
+    const double framed =
+        static_cast<double>(FramedWireBytes(kRepresentativeChunk, options)) /
+        static_cast<double>(kRepresentativeChunk);
+    const double delivery = 1.0 - std::min(0.9, profile.MeanLossRate());
+    byte_overhead_ = framed / delivery;
   }
-  profiled_ = true;
-  capacity_factor_ = std::clamp(profile.MeanRateFactor(), 0.05, 1.0);
-  // Framing overhead at the pipeline chunk size, then expected-loss
-  // retransmissions on top.
-  constexpr uint64_t kRepresentativeChunk = 256 * 1024;
-  const FrameStreamOptions options;
-  const double framed =
-      static_cast<double>(FramedWireBytes(kRepresentativeChunk, options)) /
-      static_cast<double>(kRepresentativeChunk);
-  const double delivery = 1.0 - std::min(0.9, profile.MeanLossRate());
-  byte_overhead_ = framed / delivery;
+  // Flows keep their current rates until the next membership change or
+  // Settle re-rates them with the new capacities.
+  for (Ap& ap : aps_) {
+    RefreshShare(ap);
+  }
+  rates_stale_ = true;
 }
 
 ContendedFabric::ApId ContendedFabric::AddAp(std::string name,
@@ -40,6 +47,27 @@ int ContendedFabric::ActiveFlows(ApId ap) const {
   return ap < aps_.size() ? aps_[ap].active : 0;
 }
 
+void ContendedFabric::RefreshShare(Ap& ap) const {
+  if (ap.active > 0) {
+    double cap = static_cast<double>(ap.capacity_bps);
+    if (profiled_) {
+      cap *= capacity_factor_;
+    }
+    ap.share_bps = cap / ap.active;
+  }
+}
+
+void ContendedFabric::AdjustMembership(const Flow& flow, int delta) {
+  if (flow.home_ap < aps_.size()) {
+    aps_[flow.home_ap].active += delta;
+    RefreshShare(aps_[flow.home_ap]);
+  }
+  if (flow.guest_ap < aps_.size() && flow.guest_ap != flow.home_ap) {
+    aps_[flow.guest_ap].active += delta;
+    RefreshShare(aps_[flow.guest_ap]);
+  }
+}
+
 ContendedFabric::FlowId ContendedFabric::StartFlow(SimTime now, uint64_t bytes,
                                                    uint64_t peak_bps,
                                                    ApId home_ap,
@@ -52,7 +80,7 @@ ContendedFabric::FlowId ContendedFabric::StartFlow(SimTime now, uint64_t bytes,
         std::ceil(static_cast<double>(bytes) * byte_overhead_));
   }
   // Fix everyone's progress at the old rates before membership changes.
-  RecomputeRates(now);
+  SettleProgress(now);
   Flow flow;
   flow.id = next_flow_++;
   flow.home_ap = home_ap;
@@ -60,101 +88,88 @@ ContendedFabric::FlowId ContendedFabric::StartFlow(SimTime now, uint64_t bytes,
   flow.peak_bps = std::max<uint64_t>(peak_bps, 1);
   flow.total_bytes = bytes;
   flow.remaining_bytes = static_cast<double>(bytes);
-  flow.settled_at = now;
   flows_.push_back(flow);
-  if (home_ap < aps_.size()) {
-    ++aps_[home_ap].active;
-  }
-  if (guest_ap < aps_.size() && guest_ap != home_ap) {
-    ++aps_[guest_ap].active;
-  }
-  RecomputeRates(now);
+  AdjustMembership(flow, +1);
+  Rerate();
   return flow.id;
 }
 
-void ContendedFabric::RecomputeRates(SimTime now) {
-  // Settle progress at the rates in force since each flow's last settle
-  // point, then hand out fresh equal shares.
-  for (Flow& flow : flows_) {
-    if (now > flow.settled_at && flow.rate_bps > 0) {
-      const double elapsed_s = ToSecondsF(
-          static_cast<SimDuration>(now - flow.settled_at));
+void ContendedFabric::SettleProgress(SimTime now) {
+  // Every pass settles every flow, so all of them share one settle point.
+  if (now > settled_at_) {
+    const double elapsed_s =
+        ToSecondsF(static_cast<SimDuration>(now - settled_at_));
+    for (Flow& flow : flows_) {
       flow.remaining_bytes =
           std::max(0.0, flow.remaining_bytes - flow.rate_bps / 8.0 * elapsed_s);
     }
-    flow.settled_at = now;
   }
+  settled_at_ = now;
+}
+
+double ContendedFabric::DrainSeconds(const Flow& flow) {
+  return flow.remaining_bytes / (flow.rate_bps / 8.0);
+}
+
+void ContendedFabric::Rerate() {
+  // Airtime fairness: a flow gets the tightest of its station peak and its
+  // equal share on every AP it crosses.
+  rates_stale_ = false;
+  double earliest = std::numeric_limits<double>::infinity();
   for (Flow& flow : flows_) {
     double rate = static_cast<double>(flow.peak_bps);
     const ApId crossed[2] = {flow.home_ap, flow.guest_ap};
     for (int i = 0; i < (flow.home_ap == flow.guest_ap ? 1 : 2); ++i) {
       if (crossed[i] < aps_.size() && aps_[crossed[i]].active > 0) {
-        double cap = static_cast<double>(aps_[crossed[i]].capacity_bps);
-        if (profiled_) {
-          cap *= capacity_factor_;
-        }
-        rate = std::min(rate, cap / aps_[crossed[i]].active);
+        rate = std::min(rate, aps_[crossed[i]].share_bps);
       }
     }
     flow.rate_bps = std::max(rate, 1.0);
+    earliest = std::min(earliest, DrainSeconds(flow));
   }
+  next_done_s_ = earliest;
 }
 
 bool ContendedFabric::NextCompletion(SimTime now, SimTime* when) const {
-  bool any = false;
-  SimTime best = 0;
-  for (const Flow& flow : flows_) {
-    // ceil to a whole microsecond so Settle at the reported instant always
-    // sees the flow drained.
-    const double seconds = flow.remaining_bytes / (flow.rate_bps / 8.0);
-    const SimTime done =
-        now + static_cast<SimTime>(std::ceil(seconds * 1e6));
-    if (!any || done < best) {
-      best = done;
-      any = true;
-    }
+  if (flows_.empty()) {
+    return false;
   }
-  if (any) {
-    *when = best;
-  }
-  return any;
+  // ceil to a whole microsecond so Settle at the reported instant always
+  // sees the flow drained. Rounding is monotone, so rounding the earliest
+  // drain time equals the earliest of the rounded ones.
+  *when = now + static_cast<SimTime>(std::ceil(next_done_s_ * 1e6));
+  return true;
 }
 
 void ContendedFabric::Settle(SimTime now, std::vector<FinishedFlow>* out) {
-  RecomputeRates(now);
+  SettleProgress(now);
   // Sub-byte residue is wire rounding, not payload: a flow is done once
-  // less than a byte remains.
-  std::vector<Flow> still_active;
-  still_active.reserve(flows_.size());
-  std::vector<FinishedFlow> done;
-  for (Flow& flow : flows_) {
+  // less than a byte remains. flows_ stays in start (= id) order, so the
+  // finished ones come out in (finish time, id) order.
+  size_t kept = 0;
+  double earliest = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < flows_.size(); ++i) {
+    const Flow& flow = flows_[i];
     if (flow.remaining_bytes < 1.0) {
       FinishedFlow fin;
       fin.id = flow.id;
       fin.finished_at = now;
       fin.bytes = flow.total_bytes;
-      done.push_back(fin);
+      out->push_back(fin);
       bytes_carried_ += flow.total_bytes;
-      if (flow.home_ap < aps_.size()) {
-        --aps_[flow.home_ap].active;
-      }
-      if (flow.guest_ap < aps_.size() && flow.guest_ap != flow.home_ap) {
-        --aps_[flow.guest_ap].active;
-      }
-    } else {
-      still_active.push_back(flow);
+      AdjustMembership(flow, -1);
+      continue;
     }
+    if (kept != i) {
+      flows_[kept] = flow;
+    }
+    ++kept;
+    earliest = std::min(earliest, DrainSeconds(flow));
   }
-  if (!done.empty()) {
-    flows_ = std::move(still_active);
-    RecomputeRates(now);
-    std::sort(done.begin(), done.end(),
-              [](const FinishedFlow& a, const FinishedFlow& b) {
-                return a.finished_at != b.finished_at
-                           ? a.finished_at < b.finished_at
-                           : a.id < b.id;
-              });
-    out->insert(out->end(), done.begin(), done.end());
+  next_done_s_ = earliest;
+  if (kept != flows_.size() || rates_stale_) {
+    flows_.resize(kept);
+    Rerate();
   }
 }
 

@@ -18,15 +18,19 @@
 //
 // The fabric is a pure rate/progress model for a discrete-event loop:
 // Settle(now) accrues progress at the rates fixed since the last membership
-// change, StartFlow/Collect change membership and recompute rates, and
+// change, StartFlow and finishing flows change membership and re-rate, and
 // NextCompletion() tells the scheduler when the earliest flow will finish —
 // the coordinator's "transfer complete" wake-ups come from exactly that.
+// Each event costs one settle pass and at most one re-rate pass over the
+// live flows (DESIGN.md §11): all flows share one settle point, every AP
+// keeps its equal share current as its membership changes, and whichever
+// pass ran last leaves behind the earliest drain time, so NextCompletion is
+// O(1).
 #ifndef FLUX_SRC_NET_CONTENDED_LINK_H_
 #define FLUX_SRC_NET_CONTENDED_LINK_H_
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/sim_clock.h"
@@ -55,8 +59,8 @@ class ContendedFabric {
 
   // Starts a flow of `bytes` between stations on `home_ap` and `guest_ap`
   // (equal ids = one AP), limited to `peak_bps` (the slower endpoint's
-  // station rate). Settles other flows to `now` first, then recomputes
-  // every rate. Zero-byte flows complete at `now` + nothing: they are
+  // station rate). Settles other flows to `now` first, then re-rates
+  // every flow. Zero-byte flows complete at `now` + nothing: they are
   // finished immediately and never enter the fabric.
   FlowId StartFlow(SimTime now, uint64_t bytes, uint64_t peak_bps, ApId home_ap,
                    ApId guest_ap);
@@ -67,7 +71,8 @@ class ContendedFabric {
 
   // Accrues progress to `now` and removes flows that have finished,
   // appending them to `out` (completion order: finish time, then id).
-  // Recomputes rates when membership changed.
+  // Re-rates when membership changed or a profile was applied since the
+  // last re-rate.
   void Settle(SimTime now, std::vector<FinishedFlow>* out);
 
   size_t active_flows() const { return flows_.size(); }
@@ -79,7 +84,8 @@ class ContendedFabric {
   // by the profile's MeanRateFactor, and every flow's byte count is
   // inflated by the framing overhead plus expected-loss retransmissions
   // (FramedWireBytes / (1 - MeanLossRate)). Untouched — bit for bit — when
-  // never called or when the profile is clean.
+  // never called or when the profile is clean. Live flows keep their rates
+  // until the next StartFlow or Settle re-rates them.
   void ApplyProfile(const NetProfile& profile);
   // The wire-byte multiplier ApplyProfile charges on new flows (1.0 when
   // unprofiled).
@@ -90,6 +96,7 @@ class ContendedFabric {
     std::string name;
     uint64_t capacity_bps = 0;
     int active = 0;
+    double share_bps = 0;  // (profiled) capacity / active, while active > 0
   };
   struct Flow {
     FlowId id = kInvalidFlow;
@@ -99,13 +106,25 @@ class ContendedFabric {
     uint64_t total_bytes = 0;
     double remaining_bytes = 0;
     double rate_bps = 0;
-    SimTime settled_at = 0;
   };
 
-  void RecomputeRates(SimTime now);
+  void RefreshShare(Ap& ap) const;
+  // Adds `delta` to the membership of every AP `flow` crosses.
+  void AdjustMembership(const Flow& flow, int delta);
+  // Accrues every flow's progress to `now` at its current rate.
+  void SettleProgress(SimTime now);
+  // Hands every flow its fresh rate and finds the earliest completion.
+  void Rerate();
+  // Seconds until `flow` drains at its current rate.
+  static double DrainSeconds(const Flow& flow);
 
   std::vector<Ap> aps_;
-  std::vector<Flow> flows_;
+  std::vector<Flow> flows_;  // in start (= id) order
+  SimTime settled_at_ = 0;   // every flow's progress is accrued to here
+  // Seconds from settled_at_ to the earliest completion at current rates
+  // (valid while flows_ is non-empty).
+  double next_done_s_ = 0;
+  bool rates_stale_ = false;  // a profile changed the AP shares
   FlowId next_flow_ = 1;
   uint64_t bytes_carried_ = 0;
   // Hostile-profile factors; identity until ApplyProfile installs a

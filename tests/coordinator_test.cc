@@ -1,18 +1,24 @@
 // Migration coordinator tests: admission/queue ordering, per-AP contention
-// math, cache-aware placement, pairing storms, dirty bursts, refusal
+// math (pinned bit for bit against a reference copy of the original
+// settle-and-re-rate-everything fabric), cache-aware placement and its
+// independence from pairing order, pairing storms, dirty bursts, refusal
 // semantics, and a 1k-device smoke run (also exercised under ASan/UBSan in
 // CI's sanitizer job).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/base/event_queue.h"
+#include "src/base/rng.h"
 #include "src/base/thread_pool.h"
 #include "src/flux/coordinator.h"
 #include "src/flux/trace.h"
 #include "src/net/contended_link.h"
+#include "src/net/network.h"
 
 namespace flux {
 namespace {
@@ -106,6 +112,291 @@ TEST(ContendedFabricTest, CrossApFlowTakesTheTighterShare) {
   EXPECT_EQ(when, static_cast<SimTime>(Seconds(4)));
 }
 
+TEST(ContendedFabricTest, NextCompletionSeesAFlowStartedAtTheSameInstant) {
+  ContendedFabric fabric;
+  const auto ap = fabric.AddAp("ap0", 8'000'000);
+  // 1 MB alone at 8 Mbps: done at 1 s.
+  fabric.StartFlow(0, 1'000'000, 100'000'000, ap, ap);
+  SimTime when = 0;
+  ASSERT_TRUE(fabric.NextCompletion(0, &when));
+  EXPECT_EQ(when, static_cast<SimTime>(Seconds(1)));
+  // A 250 kB flow joins at t=0: each runs at 4 Mbps, so the newcomer
+  // finishes first, at 0.5 s.
+  fabric.StartFlow(0, 250'000, 100'000'000, ap, ap);
+  ASSERT_TRUE(fabric.NextCompletion(0, &when));
+  EXPECT_EQ(when, static_cast<SimTime>(Millis(500)));
+  // Mid-flight: at 0.25 s the small flow has 125 kB left; a third equal
+  // flow makes every share 8/3 Mbps, so it needs 0.375 s more.
+  const SimTime t = static_cast<SimTime>(Millis(250));
+  fabric.StartFlow(t, 1'000'000, 100'000'000, ap, ap);
+  ASSERT_TRUE(fabric.NextCompletion(t, &when));
+  EXPECT_EQ(when, t + static_cast<SimTime>(Millis(375)));
+}
+
+// The fabric as first written: every StartFlow and Settle settles and
+// re-rates every flow (twice when membership changes), and NextCompletion
+// scans. Kept here as the reference the incremental fabric must match bit
+// for bit.
+class ReferenceFabric {
+ public:
+  using ApId = ContendedFabric::ApId;
+  using FlowId = ContendedFabric::FlowId;
+  using FinishedFlow = ContendedFabric::FinishedFlow;
+
+  void ApplyProfile(const NetProfile& profile) {
+    if (profile.IsClean()) {
+      profiled_ = false;
+      capacity_factor_ = 1.0;
+      byte_overhead_ = 1.0;
+      return;
+    }
+    profiled_ = true;
+    capacity_factor_ = std::clamp(profile.MeanRateFactor(), 0.05, 1.0);
+    constexpr uint64_t kRepresentativeChunk = 256 * 1024;
+    const FrameStreamOptions options;
+    const double framed =
+        static_cast<double>(FramedWireBytes(kRepresentativeChunk, options)) /
+        static_cast<double>(kRepresentativeChunk);
+    const double delivery = 1.0 - std::min(0.9, profile.MeanLossRate());
+    byte_overhead_ = framed / delivery;
+  }
+
+  ApId AddAp(uint64_t capacity_bps) {
+    aps_.push_back(Ap{capacity_bps, 0});
+    return static_cast<ApId>(aps_.size() - 1);
+  }
+
+  int ActiveFlows(ApId ap) const {
+    return ap < aps_.size() ? aps_[ap].active : 0;
+  }
+
+  FlowId StartFlow(SimTime now, uint64_t bytes, uint64_t peak_bps,
+                   ApId home_ap, ApId guest_ap) {
+    if (bytes == 0) {
+      return ContendedFabric::kInvalidFlow;
+    }
+    if (profiled_) {
+      bytes = static_cast<uint64_t>(
+          std::ceil(static_cast<double>(bytes) * byte_overhead_));
+    }
+    RecomputeRates(now);
+    Flow flow;
+    flow.id = next_flow_++;
+    flow.home_ap = home_ap;
+    flow.guest_ap = guest_ap;
+    flow.peak_bps = std::max<uint64_t>(peak_bps, 1);
+    flow.total_bytes = bytes;
+    flow.remaining_bytes = static_cast<double>(bytes);
+    flow.settled_at = now;
+    flows_.push_back(flow);
+    if (home_ap < aps_.size()) {
+      ++aps_[home_ap].active;
+    }
+    if (guest_ap < aps_.size() && guest_ap != home_ap) {
+      ++aps_[guest_ap].active;
+    }
+    RecomputeRates(now);
+    return flow.id;
+  }
+
+  bool NextCompletion(SimTime now, SimTime* when) const {
+    bool any = false;
+    SimTime best = 0;
+    for (const Flow& flow : flows_) {
+      const double seconds = flow.remaining_bytes / (flow.rate_bps / 8.0);
+      const SimTime done =
+          now + static_cast<SimTime>(std::ceil(seconds * 1e6));
+      if (!any || done < best) {
+        best = done;
+        any = true;
+      }
+    }
+    if (any) {
+      *when = best;
+    }
+    return any;
+  }
+
+  void Settle(SimTime now, std::vector<FinishedFlow>* out) {
+    RecomputeRates(now);
+    std::vector<Flow> still_active;
+    std::vector<FinishedFlow> done;
+    for (Flow& flow : flows_) {
+      if (flow.remaining_bytes < 1.0) {
+        done.push_back(FinishedFlow{flow.id, now, flow.total_bytes});
+        bytes_carried_ += flow.total_bytes;
+        if (flow.home_ap < aps_.size()) {
+          --aps_[flow.home_ap].active;
+        }
+        if (flow.guest_ap < aps_.size() && flow.guest_ap != flow.home_ap) {
+          --aps_[flow.guest_ap].active;
+        }
+      } else {
+        still_active.push_back(flow);
+      }
+    }
+    if (!done.empty()) {
+      flows_ = std::move(still_active);
+      RecomputeRates(now);
+      std::sort(done.begin(), done.end(),
+                [](const FinishedFlow& a, const FinishedFlow& b) {
+                  return a.finished_at != b.finished_at
+                             ? a.finished_at < b.finished_at
+                             : a.id < b.id;
+                });
+      out->insert(out->end(), done.begin(), done.end());
+    }
+  }
+
+  size_t active_flows() const { return flows_.size(); }
+  uint64_t bytes_carried() const { return bytes_carried_; }
+
+ private:
+  struct Ap {
+    uint64_t capacity_bps = 0;
+    int active = 0;
+  };
+  struct Flow {
+    FlowId id = ContendedFabric::kInvalidFlow;
+    ApId home_ap = 0;
+    ApId guest_ap = 0;
+    uint64_t peak_bps = 0;
+    uint64_t total_bytes = 0;
+    double remaining_bytes = 0;
+    double rate_bps = 0;
+    SimTime settled_at = 0;
+  };
+
+  void RecomputeRates(SimTime now) {
+    for (Flow& flow : flows_) {
+      if (now > flow.settled_at && flow.rate_bps > 0) {
+        const double elapsed_s = ToSecondsF(
+            static_cast<SimDuration>(now - flow.settled_at));
+        flow.remaining_bytes = std::max(
+            0.0, flow.remaining_bytes - flow.rate_bps / 8.0 * elapsed_s);
+      }
+      flow.settled_at = now;
+    }
+    for (Flow& flow : flows_) {
+      double rate = static_cast<double>(flow.peak_bps);
+      const ApId crossed[2] = {flow.home_ap, flow.guest_ap};
+      for (int i = 0; i < (flow.home_ap == flow.guest_ap ? 1 : 2); ++i) {
+        if (crossed[i] < aps_.size() && aps_[crossed[i]].active > 0) {
+          double cap = static_cast<double>(aps_[crossed[i]].capacity_bps);
+          if (profiled_) {
+            cap *= capacity_factor_;
+          }
+          rate = std::min(rate, cap / aps_[crossed[i]].active);
+        }
+      }
+      flow.rate_bps = std::max(rate, 1.0);
+    }
+  }
+
+  std::vector<Ap> aps_;
+  std::vector<Flow> flows_;
+  FlowId next_flow_ = 1;
+  uint64_t bytes_carried_ = 0;
+  bool profiled_ = false;
+  double capacity_factor_ = 1.0;
+  double byte_overhead_ = 1.0;
+};
+
+TEST(ContendedFabricTest, MatchesTheReferenceFabricBitForBit) {
+  // A seeded trace of 512 flows over a few APs of unequal capacity: flows
+  // start between completions, settles land both on completion instants
+  // and between them, and a hostile profile is applied mid-run. After
+  // every step both fabrics must report the same next completion instant,
+  // the same finished flows, and the same membership.
+  ContendedFabric fabric;
+  ReferenceFabric ref;
+  constexpr int kAps = 6;
+  for (int a = 0; a < kAps; ++a) {
+    const uint64_t cap = 20'000'000 + static_cast<uint64_t>(a) * 13'000'000;
+    fabric.AddAp("ap" + std::to_string(a), cap);
+    ref.AddAp(cap);
+  }
+  Rng rng(0xFAB);
+  constexpr int kFlows = 512;
+  int started = 0;
+  bool profiled = false;
+  SimTime now = 0;
+  uint64_t finished = 0;
+  auto compare = [&](const char* what) {
+    SCOPED_TRACE(std::string(what) + " at " + std::to_string(now));
+    SimTime got = 0;
+    SimTime want = 0;
+    const bool got_any = fabric.NextCompletion(now, &got);
+    ASSERT_EQ(got_any, ref.NextCompletion(now, &want));
+    if (got_any) {
+      ASSERT_EQ(got, want);
+    }
+    ASSERT_EQ(fabric.active_flows(), ref.active_flows());
+    ASSERT_EQ(fabric.bytes_carried(), ref.bytes_carried());
+    for (int a = 0; a < kAps; ++a) {
+      ASSERT_EQ(fabric.ActiveFlows(static_cast<ContendedFabric::ApId>(a)),
+                ref.ActiveFlows(static_cast<ContendedFabric::ApId>(a)));
+    }
+  };
+  auto settle = [&](SimTime at) {
+    now = at;
+    std::vector<ContendedFabric::FinishedFlow> got;
+    std::vector<ContendedFabric::FinishedFlow> want;
+    fabric.Settle(now, &got);
+    ref.Settle(now, &want);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].id, want[i].id);
+      ASSERT_EQ(got[i].finished_at, want[i].finished_at);
+      ASSERT_EQ(got[i].bytes, want[i].bytes);
+    }
+    finished += got.size();
+    compare("settle");
+  };
+  while (started < kFlows || ref.active_flows() > 0) {
+    SimTime next = 0;
+    const bool pending = ref.NextCompletion(now, &next);
+    if (!profiled && started >= kFlows / 2 && pending && next > now + 1) {
+      // The new capacities must take effect at the very next Settle, even
+      // one where no flow finishes.
+      const NetProfile hostile = *NetProfile::Named("hostile");
+      fabric.ApplyProfile(hostile);
+      ref.ApplyProfile(hostile);
+      profiled = true;
+      compare("profile");
+      settle(now + 1 + rng.NextBelow(next - now - 1));
+      continue;
+    }
+    const uint64_t roll = rng.NextBelow(10);
+    if (started < kFlows && (!pending || roll < 5)) {
+      // Start one or a burst of flows somewhere before the next completion.
+      if (pending && next > now) {
+        now += rng.NextBelow(next - now);
+      }
+      const int burst = 1 + static_cast<int>(rng.NextBelow(3));
+      for (int b = 0; b < burst && started < kFlows; ++b, ++started) {
+        const auto home = static_cast<ContendedFabric::ApId>(rng.NextBelow(kAps));
+        const auto guest =
+            static_cast<ContendedFabric::ApId>(rng.NextBelow(kAps));
+        const uint64_t bytes = rng.NextBelow(8) == 0
+                                   ? 0
+                                   : 64'000 + rng.NextBelow(4'000'000);
+        const uint64_t peak = 5'000'000 + rng.NextBelow(40'000'000);
+        ASSERT_EQ(fabric.StartFlow(now, bytes, peak, home, guest),
+                  ref.StartFlow(now, bytes, peak, home, guest));
+        compare("start");
+      }
+      continue;
+    }
+    // Settle at the completion instant, or partway to it.
+    settle(roll == 9 && next > now + 1 ? now + 1 + rng.NextBelow(next - now - 1)
+                                       : next);
+  }
+  EXPECT_TRUE(profiled);
+  EXPECT_GT(finished, static_cast<uint64_t>(kFlows) / 2);
+  EXPECT_EQ(fabric.active_flows(), 0u);
+}
+
 TEST(CoordinatorTest, AdmitsFifoAndRecordsQueueWait) {
   CoordinatorConfig cfg;
   cfg.max_concurrent_migrations = 1;
@@ -188,6 +479,60 @@ TEST(CoordinatorTest, PlacementPrefersTheWarmCache) {
   EXPECT_EQ(rec.wire_bytes, static_cast<uint64_t>(rec.chunks) * 16);
   EXPECT_GT(fleet.Counter(trace_names::kFleetPlacementWarmChunks), 0u);
   EXPECT_GT(fleet.Counter(trace_names::kFleetPlacementProbes), 0u);
+}
+
+// The records of a small fleet whose home device pairs with four
+// candidates on four APs, paired in the given order. The app hops off its
+// home by auto placement three times.
+std::vector<FleetMigrationRecord> RunPlacementInPairingOrder(
+    const std::vector<int>& order) {
+  Fleet fleet;
+  std::vector<FleetDeviceId> devs;
+  for (int d = 0; d < 5; ++d) {
+    devs.push_back(fleet.Dev(fleet.fabric.AddAp("ap" + std::to_string(d),
+                                                150'000'000)));
+  }
+  for (const int i : order) {
+    for (const int j : order) {
+      if (i < j) {
+        fleet.coord->MarkPaired(devs[static_cast<size_t>(i)],
+                                devs[static_cast<size_t>(j)]);
+      }
+    }
+  }
+  const auto app = fleet.App(devs[0], 4 << 20, 64 << 10);
+  for (int hop = 0; hop < 3; ++hop) {
+    EXPECT_TRUE(fleet.coord->RequestMigration(app));
+    fleet.sched.DrainUntil(kForever);
+  }
+  return fleet.coord->completed();
+}
+
+TEST(CoordinatorTest, PlacementDoesNotDependOnPairingOrder) {
+  // Equally cold candidates tie on warmth and load, so the lowest id wins;
+  // later hops find the previous home warm. Neither may depend on the
+  // order the pairings were made in.
+  const auto forward = RunPlacementInPairingOrder({0, 1, 2, 3, 4});
+  const auto backward = RunPlacementInPairingOrder({4, 3, 2, 1, 0});
+  const auto shuffled = RunPlacementInPairingOrder({2, 4, 0, 3, 1});
+  ASSERT_EQ(forward.size(), 3u);
+  EXPECT_EQ(forward[0].guest, 1u);
+  for (const auto* other : {&backward, &shuffled}) {
+    ASSERT_EQ(other->size(), forward.size());
+    for (size_t i = 0; i < forward.size(); ++i) {
+      const FleetMigrationRecord& a = forward[i];
+      const FleetMigrationRecord& b = (*other)[i];
+      EXPECT_EQ(a.app, b.app);
+      EXPECT_EQ(a.home, b.home);
+      EXPECT_EQ(a.guest, b.guest);
+      EXPECT_EQ(a.submitted, b.submitted);
+      EXPECT_EQ(a.admitted, b.admitted);
+      EXPECT_EQ(a.completed, b.completed);
+      EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+      EXPECT_EQ(a.chunks, b.chunks);
+      EXPECT_EQ(a.warm_chunks, b.warm_chunks);
+    }
+  }
 }
 
 TEST(CoordinatorTest, DirtyWritesCoolTheCacheBetweenHops) {

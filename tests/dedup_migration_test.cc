@@ -177,43 +177,5 @@ TEST(DedupMigrationTest, MissingGuestCacheEntriesFallBackToFullChunks) {
   EXPECT_EQ(hop2->image_hash, hop2->restored_image_hash);
 }
 
-// The cache itself: budget-bounded LRU with verified reads.
-TEST(ChunkCacheTest, LruEvictionVerificationAndBudget) {
-  ChunkCache cache(/*budget_bytes=*/1024);
-  Bytes chunk_a(400, 0x11);
-  Bytes chunk_b(400, 0x22);
-  Bytes chunk_c(400, 0x33);
-  const Hash128 ha = FluxHash128(ByteSpan(chunk_a.data(), chunk_a.size()));
-  const Hash128 hb = FluxHash128(ByteSpan(chunk_b.data(), chunk_b.size()));
-  const Hash128 hc = FluxHash128(ByteSpan(chunk_c.data(), chunk_c.size()));
-
-  cache.Insert(ha, ByteSpan(chunk_a.data(), chunk_a.size()));
-  cache.Insert(hb, ByteSpan(chunk_b.data(), chunk_b.size()));
-  EXPECT_TRUE(cache.HasValid(ha));  // bump A ahead of B
-  cache.Insert(hc, ByteSpan(chunk_c.data(), chunk_c.size()));
-
-  // 1200 bytes over a 1024 budget: B (least recent) was evicted.
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_FALSE(cache.HasValid(hb));
-  EXPECT_TRUE(cache.HasValid(ha));
-  EXPECT_TRUE(cache.HasValid(hc));
-  EXPECT_EQ(cache.stats().evictions, 1u);
-
-  // A poisoned entry fails verification once and is gone.
-  ASSERT_TRUE(cache.PoisonForTest(ha));
-  EXPECT_FALSE(cache.HasValid(ha));
-  EXPECT_EQ(cache.stats().verify_failures, 1u);
-  EXPECT_EQ(cache.entries(), 1u);
-
-  // Fetch returns the exact bytes; an oversized insert is refused.
-  Bytes out;
-  EXPECT_TRUE(cache.Fetch(hc, out));
-  EXPECT_EQ(out, chunk_c);
-  Bytes huge(2048, 0x44);
-  cache.Insert(FluxHash128(ByteSpan(huge.data(), huge.size())),
-               ByteSpan(huge.data(), huge.size()));
-  EXPECT_EQ(cache.entries(), 1u);
-}
-
 }  // namespace
 }  // namespace flux
